@@ -348,8 +348,9 @@ def lint_finding_record(
 ) -> ResultRecord:
     """The unified record of one lint finding.
 
-    ``repro lint --format=jsonl`` emits these so lint output speaks the
-    same versioned schema as every other machine-readable surface.  A
+    ``repro lint --format=jsonl`` emits these (DESIGN.md §9) so lint
+    output speaks the same versioned schema as every other
+    machine-readable surface.  A
     finding has no device run behind it: the latency summaries are
     empty, ``horizon_us`` is zero, ``workload`` carries the offending
     file, and the finding itself (code, message, location, enclosing

@@ -346,26 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
              "Actions annotations (default text)",
     )
     lint_p.add_argument(
-        "--baseline", default="lint-baseline.json", metavar="PATH",
-        help="baseline file of justified grandfathered findings "
-             "(default lint-baseline.json; missing file = empty)",
-    )
-    lint_p.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file (report everything)",
-    )
-    lint_p.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline to cover current findings (new "
-             "entries get TODO justifications, entries that no longer "
-             "match are pruned) and exit 0",
-    )
-    lint_p.add_argument(
-        "--strict-baseline", action="store_true",
-        help="treat stale baseline entries as a failure (exit 1); "
-             "used in CI so the baseline only ever shrinks",
-    )
-    lint_p.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
     )
@@ -381,20 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--package-root", default=None, metavar="DIR",
         help="map module names relative to this directory instead of "
              "auto-detecting package roots",
-    )
-    lint_p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the whole-program flow analysis "
-             "(default: serial; 0 = one per CPU)",
-    )
-    lint_p.add_argument(
-        "--flow-cache-dir", default=".lint-flow-cache", metavar="DIR",
-        help="directory for the per-file flow-analysis cache, keyed on "
-             "content hashes (default .lint-flow-cache)",
-    )
-    lint_p.add_argument(
-        "--no-flow-cache", action="store_true",
-        help="keep the flow analysis in memory only (no on-disk cache)",
     )
     return parser
 
@@ -893,7 +859,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint import (
-        Baseline,
         LintEngine,
         all_rules,
         render_github,
@@ -923,26 +888,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     try:
         select = parse_codes(args.select, "--select")
         ignore = parse_codes(args.ignore, "--ignore")
-        baseline = (
-            Baseline()
-            if args.no_baseline or args.write_baseline
-            else Baseline.load(args.baseline)
-        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .lint.flow import FlowOptions
-
-    flow_options = FlowOptions(
-        jobs=args.jobs,
-        cache_dir=None if args.no_flow_cache else args.flow_cache_dir,
-    )
     engine = LintEngine(
-        select=select,
-        ignore=ignore,
-        baseline=baseline,
-        package_root=args.package_root,
-        flow_options=flow_options,
+        select=select, ignore=ignore, package_root=args.package_root
     )
     try:
         result = engine.run(args.paths)
@@ -950,30 +900,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        previous = Baseline.load(args.baseline)
-        updated = Baseline.from_violations(result.violations, previous)
-        updated.save(args.baseline)
-        print(
-            f"wrote {args.baseline}: {len(updated)} entries "
-            f"covering {len(result.violations)} findings "
-            "(replace any TODO justifications before committing)"
-        )
-        return 0
-
     renderer = {
         "text": render_text,
         "jsonl": render_jsonl,
         "github": render_github,
     }[args.format]
     print(renderer(result))
-    if args.strict_baseline and result.stale_baseline:
-        print(
-            f"error: {len(result.stale_baseline)} stale baseline "
-            "entries (run repro lint --write-baseline to prune)",
-            file=sys.stderr,
-        )
-        return 1
     return 0 if result.clean else 1
 
 

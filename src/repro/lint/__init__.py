@@ -25,19 +25,20 @@ Rule families (stable dotted codes; DESIGN.md §9 is the catalog):
     extra state requires.
 ``frozen.*``
     Frozen-dataclass hygiene: no ``object.__setattr__`` escape hatches
-    outside ``__post_init__``; ``RunSpec``/``FaultConfig`` fields stay
-    statically picklable so the process-pool engine can ship them.
+    outside ``__post_init__``.
 
-Violations are suppressed per line with ``# lint: disable=<code>[,<code>...]``
-or repo-wide via a baseline file (``lint-baseline.json``) whose every
-entry carries a one-line justification.  ``repro lint`` is the CLI;
-``--format=jsonl`` is machine-readable, ``--format=github`` emits GitHub
-Actions annotations.
+Invariants a per-file AST cannot prove — that no hash-seed, wall-clock
+or global-random value reaches a digest, that the per-request hot path
+does no I/O, that the serve loop never blocks, that every spec pickles —
+are checked at runtime by the test suite instead (DESIGN.md §14).
+
+The one escape hatch is a per-line ``# lint: disable=<code>[,<code>...]``
+comment.  ``repro lint`` is the CLI; ``--format=jsonl`` is
+machine-readable, ``--format=github`` emits GitHub Actions annotations.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineEntry
 from .engine import LintEngine, LintResult, Program, lint_paths
 from .imports import ImportGraph, build_import_graph, find_cycles
 from .registry import (
@@ -51,8 +52,6 @@ from .report import render_github, render_jsonl, render_text
 from .violations import Violation, suppressed_codes
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "ImportGraph",
     "LintEngine",
     "LintResult",

@@ -1,14 +1,14 @@
-"""The lint engine: load modules, run rules, apply suppressions/baseline.
+"""The lint engine: load modules, run rules, apply inline suppressions.
 
 The engine walks the given paths, parses every ``.py`` file once, maps
 each file to its dotted module name (``src/repro/core/dvp.py`` →
 ``repro.core.dvp``), builds the import graph, and hands the whole
-:class:`Program` to every registered rule.  Findings then pass through
-two filters:
+:class:`Program` to every registered rule.  Findings then pass one
+filter: per-line ``# lint: disable=<code>`` comments (exact code match).
 
-1. per-line ``# lint: disable=<code>`` comments (exact code match), and
-2. the baseline (:mod:`repro.lint.baseline`) — justified, reviewed
-   grandfathered findings matched by ``(path, code, context)``.
+A path that is neither a file nor a directory, a file that is not valid
+UTF-8, and a file that does not parse all raise (``OSError`` /
+``SyntaxError``) instead of linting fewer files than asked.
 
 Everything is pure stdlib and deterministic: files are walked sorted,
 rules run in code order, and violations are reported sorted by
@@ -20,9 +20,8 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .baseline import Baseline
 from .imports import ImportGraph, build_import_graph
 from .registry import Rule, all_rules
 from .violations import Violation, suppression_table
@@ -101,20 +100,10 @@ class Program:
 
     modules: List[ModuleInfo]
     import_graph: ImportGraph
-    #: knobs for the whole-program flow analysis (a
-    #: :class:`repro.lint.flow.FlowOptions`; loosely typed here so the
-    #: engine has no import-time dependency on the flow subpackage)
-    flow_options: Optional[object] = None
 
     def module_named(self, name: str) -> Optional[ModuleInfo]:
         for module in self.modules:
             if module.name == name:
-                return module
-        return None
-
-    def by_path(self, path: str) -> Optional[ModuleInfo]:
-        for module in self.modules:
-            if module.path == path:
                 return module
         return None
 
@@ -125,8 +114,6 @@ class LintResult:
 
     violations: List[Violation]        # surviving (reported) findings
     suppressed: int                    # killed by # lint: disable
-    baselined: int                     # killed by baseline entries
-    stale_baseline: List[str]          # baseline entries that matched nothing
     files_checked: int
 
     @property
@@ -142,9 +129,7 @@ class LintEngine:
         rules: Optional[Sequence[Rule]] = None,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        baseline: Optional[Baseline] = None,
         package_root: Optional[str] = None,
-        flow_options: Optional[object] = None,
     ) -> None:
         self.rules = list(rules) if rules is not None else all_rules()
         if select:
@@ -153,9 +138,7 @@ class LintEngine:
         if ignore:
             unwanted = set(ignore)
             self.rules = [r for r in self.rules if r.code not in unwanted]
-        self.baseline = baseline or Baseline()
         self.package_root = package_root
-        self.flow_options = flow_options
 
     # -- loading -------------------------------------------------------
 
@@ -163,19 +146,21 @@ class LintEngine:
         files = sorted(self._collect_files(paths))
         modules = []
         for path in files:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    source = handle.read()
+            except UnicodeDecodeError as exc:
+                raise SyntaxError(
+                    f"{path}: not valid UTF-8 ({exc.reason} at byte "
+                    f"{exc.start})"
+                ) from None
             modules.append(
                 ModuleInfo.parse(path, self._module_name(path), source)
             )
         graph = build_import_graph(
             (m.name, m.tree, m.is_package) for m in modules
         )
-        return Program(
-            modules=modules,
-            import_graph=graph,
-            flow_options=self.flow_options,
-        )
+        return Program(modules=modules, import_graph=graph)
 
     def _collect_files(self, paths: Sequence[str]) -> List[str]:
         found: List[str] = []
@@ -184,6 +169,10 @@ class LintEngine:
                 if path.endswith(".py"):
                     found.append(path)
                 continue
+            if not os.path.isdir(path):
+                raise FileNotFoundError(
+                    f"{path}: no such file or directory"
+                )
             for dirpath, dirnames, filenames in os.walk(path):
                 dirnames[:] = sorted(
                     d for d in dirnames if d not in _SKIP_DIRS
@@ -240,29 +229,15 @@ class LintEngine:
         by_path = {module.path: module for module in program.modules}
         survivors: List[Violation] = []
         suppressed = 0
-        matched_entries: Set[str] = set()
-        baselined = 0
         for violation in sorted(set(raw)):
             module = by_path.get(violation.path)
             if module is not None and module.is_suppressed(violation):
                 suppressed += 1
                 continue
-            entry = self.baseline.match(violation)
-            if entry is not None:
-                matched_entries.add(entry.key())
-                baselined += 1
-                continue
             survivors.append(violation)
-        stale = [
-            entry.key()
-            for entry in self.baseline.entries
-            if entry.key() not in matched_entries
-        ]
         return LintResult(
             violations=survivors,
             suppressed=suppressed,
-            baselined=baselined,
-            stale_baseline=sorted(stale),
             files_checked=len(program.modules),
         )
 
@@ -271,16 +246,10 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    baseline: Optional[Baseline] = None,
     package_root: Optional[str] = None,
-    flow_options: Optional[object] = None,
 ) -> LintResult:
     """One-call façade: lint ``paths`` with the full registry."""
     engine = LintEngine(
-        select=select,
-        ignore=ignore,
-        baseline=baseline,
-        package_root=package_root,
-        flow_options=flow_options,
+        select=select, ignore=ignore, package_root=package_root
     )
     return engine.run(paths)

@@ -43,8 +43,8 @@ class Rule:
     """Base class for lint rules (whole-program view)."""
 
     #: Stable dotted identifier, ``family.name`` — never renumbered;
-    #: retired rules leave their code reserved so baselines and disable
-    #: comments cannot silently change meaning.
+    #: retired rules leave their code reserved so disable comments
+    #: cannot silently change meaning.
     code: str = ""
     #: One-line description shown in ``repro lint --rules``.
     summary: str = ""
@@ -103,7 +103,7 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
 
 def _load_rules() -> None:
     """Import the rule family modules (side effect: registration)."""
-    from .rules import det, flow, frozen, layer, proto  # noqa: F401
+    from .rules import det, frozen, layer, proto  # noqa: F401
 
 
 def all_rules() -> List[Rule]:

@@ -2,7 +2,7 @@
 
 ``text``
     The default terminal report: one ``path:line:col code message`` row
-    per finding, a per-code tally, and the suppression/baseline counts.
+    per finding, a per-code tally, and the inline-suppression count.
 ``jsonl``
     One ``repro.api/v1`` :class:`~repro.api.schema.ResultRecord` of kind
     ``lint.finding`` per violation (so lint output round-trips through
@@ -30,8 +30,6 @@ def _summary_dict(result: LintResult) -> dict:
         "summary": {
             "violations": len(result.violations),
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
-            "stale_baseline": result.stale_baseline,
             "files_checked": result.files_checked,
         }
     }
@@ -57,12 +55,8 @@ def render_text(result: LintResult) -> str:
     lines.append(
         f"repro lint: {verdict} "
         f"({result.files_checked} files, {result.suppressed} suppressed "
-        f"inline, {result.baselined} baselined)"
+        f"inline)"
     )
-    for key in result.stale_baseline:
-        lines.append(
-            f"repro lint: stale baseline entry (no longer matches): {key}"
-        )
     return "\n".join(lines)
 
 

@@ -2,9 +2,7 @@
 
 A :class:`Violation` is one rule finding, anchored to a file, line and
 the enclosing definition (``context``, a dotted qualname like
-``MQDeadValuePool.insert_garbage`` or ``<module>``).  The context is
-what baseline entries match on — line numbers drift with every edit,
-qualnames rarely do.
+``MQDeadValuePool.insert_garbage`` or ``<module>``).
 
 Suppression is a trailing comment on the offending line::
 
@@ -12,8 +10,8 @@ Suppression is a trailing comment on the offending line::
     x = foo()        # lint: disable=det.set-iter,det.environ
 
 Only the named codes are suppressed, only on that line.  There is no
-file-level or blanket disable: anything broader belongs in the baseline
-file, where it must carry a justification (see :mod:`repro.lint.baseline`).
+file-level or blanket disable: a finding that recurs across a family of
+sites is a rule to fix, not a suppression to widen.
 """
 
 from __future__ import annotations
@@ -44,17 +42,6 @@ class Violation:
     code: str
     message: str = field(compare=False)
     context: str = field(default="<module>", compare=False)
-
-    def as_dict(self) -> dict:
-        """JSON-ready mapping (the ``--format=jsonl`` record)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "context": self.context,
-        }
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"

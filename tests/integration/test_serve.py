@@ -9,8 +9,15 @@ and a restarted server must resume them bit-exact.
 No pytest-asyncio in the image, so the in-process server runs a plain
 ``asyncio.run`` loop on a background thread and the tenants drive it
 with the blocking :class:`repro.serve.ServeClient`.
+
+Every in-process server also guards its event loop: the loop runs in
+asyncio debug mode, and an audit hook records file opens, sleeps and
+process spawns fired on the loop thread once ``start()`` has returned.
+A test whose server loop did any of that, or logged a slow callback,
+fails on exit — one blocking call in a coroutine stalls every tenant.
 """
 
+import logging
 import os
 import signal
 import subprocess
@@ -36,6 +43,62 @@ SRC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
 )
 
+#: Audit events that block the thread that fires them.  ``time.sleep``
+#: is raised only on Python 3.13+; older interpreters still catch a long
+#: sleep through the slow-callback log.
+BLOCKING_EVENTS = frozenset({
+    "open", "time.sleep", "subprocess.Popen", "os.system",
+})
+#: Loop callbacks slower than this are logged by asyncio debug mode.  The
+#: asyncio default is 0.1 s; the margin absorbs GIL contention with the
+#: simulation worker threads on a loaded machine.
+SLOW_CALLBACK_S = 0.25
+
+#: loop-thread ident -> the blocking audit events recorded on it
+_watched_loops = {}
+_audit_hook_installed = False
+
+
+def _opened_by_linecache():
+    """Debug mode records where each task and future was created, and
+    ``linecache`` opens the source files for those stacks: the guard's
+    own instrumentation, not serve code."""
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_globals.get("__name__") == "linecache":
+            return True
+        frame = frame.f_back
+    return False
+
+
+def _record_blocking_event(event, args):
+    events = _watched_loops.get(threading.get_ident())
+    if events is None or event not in BLOCKING_EVENTS:
+        return
+    if event == "open" and _opened_by_linecache():
+        return
+    events.append((event, args[:1]))
+
+
+def _install_audit_hook():
+    # Audit hooks cannot be removed, so one hook serves every server and
+    # stays inert for threads not registered in _watched_loops.
+    global _audit_hook_installed
+    if not _audit_hook_installed:
+        sys.addaudithook(_record_blocking_event)
+        _audit_hook_installed = True
+
+
+class _SlowCallbackLog(logging.Handler):
+    def __init__(self):
+        super().__init__(level=logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        message = record.getMessage()
+        if message.startswith("Executing "):
+            self.messages.append(message)
+
 
 def batch_digest(workload):
     context = ExperimentContext.for_workload(workload, SCALE)
@@ -50,13 +113,17 @@ def trace_for(workload):
 
 
 class ServerThread:
-    """An in-process serve loop on a background thread (port 0)."""
+    """An in-process serve loop on a background thread (port 0), with
+    the blocking-call guard described in the module docstring."""
 
     def __init__(self, **settings_overrides):
         fields = dict(host="127.0.0.1", port=0, batch_requests=BATCH)
         fields.update(settings_overrides)
         self.settings = ServeSettings(**fields)
         self.server = None
+        self.loop_events = []
+        self._slow_log = _SlowCallbackLog()
+        self.slow_callbacks = self._slow_log.messages
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -64,14 +131,31 @@ class ServerThread:
         import asyncio
 
         async def main():
+            asyncio.get_running_loop().slow_callback_duration = (
+                SLOW_CALLBACK_S
+            )
             self.server = ServeServer(self.settings)
             await self.server.start()
+            # Construction (e.g. the --obs JsonlWriter open) is one-time
+            # setup; only what runs after start() is serving.
+            _watched_loops[threading.get_ident()] = self.loop_events
             self._ready.set()
-            await self.server.serve_until_stopped()
+            try:
+                await self.server.serve_until_stopped()
+            finally:
+                del _watched_loops[threading.get_ident()]
 
-        asyncio.run(main())
+        asyncio.run(main(), debug=True)
+
+    def assert_loop_never_blocked(self):
+        assert not self.loop_events and not self.slow_callbacks, (
+            f"serve loop blocked: events {self.loop_events}, "
+            f"slow callbacks {self.slow_callbacks}"
+        )
 
     def __enter__(self):
+        _install_audit_hook()
+        logging.getLogger("asyncio").addHandler(self._slow_log)
         self._thread.start()
         assert self._ready.wait(timeout=30), "server did not start"
         return self
@@ -84,11 +168,16 @@ class ServerThread:
         self._thread.join(timeout)
         assert not self._thread.is_alive(), "server did not drain"
 
-    def __exit__(self, *exc):
-        if self._thread.is_alive():
-            with ServeClient("127.0.0.1", self.port) as client:
-                client.shutdown_server()
-            self.join()
+    def __exit__(self, exc_type, *exc):
+        try:
+            if self._thread.is_alive():
+                with ServeClient("127.0.0.1", self.port) as client:
+                    client.shutdown_server()
+                self.join()
+        finally:
+            logging.getLogger("asyncio").removeHandler(self._slow_log)
+        if exc_type is None:
+            self.assert_loop_never_blocked()
 
 
 @pytest.mark.serve_smoke
@@ -294,3 +383,41 @@ def test_error_replies_keep_the_connection_alive():
             assert b"error" in reply
             client.ping()
             client.close_session()
+
+
+def _sleep_on_the_loop():
+    time.sleep(SLOW_CALLBACK_S + 0.05)
+
+
+def _open_on_the_loop():
+    with open(os.devnull, "rb"):
+        pass
+
+
+@pytest.mark.parametrize(
+    "blocking_call", [_sleep_on_the_loop, _open_on_the_loop],
+    ids=["sleep", "open"],
+)
+def test_blocking_call_in_a_serve_coroutine_fails_the_guard(
+    monkeypatch, blocking_call
+):
+    """The guard's own fixture: a coroutine that blocks the loop."""
+    reply = ServeServer._reply
+
+    async def blocking_reply(self, writer, message):
+        blocking_call()
+        await reply(self, writer, message)
+
+    monkeypatch.setattr(ServeServer, "_reply", blocking_reply)
+    server = ServerThread()
+    with pytest.raises(AssertionError, match="serve loop blocked"):
+        with server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.ping()
+    events = {event for event, _ in server.loop_events}
+    if blocking_call is _open_on_the_loop:
+        assert events == {"open"}
+    else:
+        assert server.slow_callbacks
+        if sys.version_info >= (3, 13):
+            assert "time.sleep" in events

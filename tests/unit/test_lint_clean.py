@@ -2,8 +2,8 @@
 
 ``make lint`` runs ``repro lint src/repro`` from the repo root; these
 tests pin the same invariant inside the plain pytest suite, so a change
-that introduces a determinism/layering violation (or lets the tracked
-baseline rot) fails even for contributors who skip ``make lint``.
+that introduces a determinism/layering violation fails even for
+contributors who skip ``make lint``.
 """
 
 import inspect
@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 import repro.core.dvp as dvp
-from repro.lint import Baseline, LintEngine
+from repro.lint import LintEngine
 from repro.lint.rules.proto import _FALLBACK_POOL_SURFACE
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -20,32 +20,26 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 @pytest.fixture()
 def repo_cwd(monkeypatch):
-    """Run from the repo root so baseline paths (src/repro/...) match."""
+    """Run from the repo root so the tree resolves as src/repro/..."""
     if not (REPO_ROOT / "src" / "repro").is_dir():
         pytest.skip("not running from a source checkout")
     monkeypatch.chdir(REPO_ROOT)
 
 
 def test_live_tree_is_lint_clean(repo_cwd):
-    baseline = Baseline.load("lint-baseline.json")
-    engine = LintEngine(baseline=baseline)
-    result = engine.run(["src/repro"])
+    result = LintEngine().run(["src/repro"])
     assert result.clean, "\n".join(
         f"{v.location()}: {v.code} {v.message}" for v in result.violations
     )
-    # the tracked baseline only ever shrinks: every entry still matches
-    assert result.stale_baseline == []
 
 
 def test_live_tree_exercises_both_suppression_channels(repo_cwd):
-    """The shipped tree deliberately carries one inline disable (mq.py)
-    and one baselined family (report.py) so both escape hatches stay
-    exercised end to end; if either count drops to zero the comment or
-    baseline entry went stale and should be pruned with this test."""
-    engine = LintEngine(baseline=Baseline.load("lint-baseline.json"))
-    result = engine.run(["src/repro"])
+    """The shipped tree deliberately carries one inline disable (the MQ
+    queue order in core/mq.py, which *is* the LRU contract) so the one
+    escape hatch stays exercised end to end; if the count drops to zero
+    the comment went stale and should be pruned with this test."""
+    result = LintEngine().run(["src/repro"])
     assert result.suppressed >= 1
-    assert result.baselined >= 1
 
 
 def test_fallback_pool_surface_matches_live_protocol():

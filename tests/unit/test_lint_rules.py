@@ -645,272 +645,6 @@ def test_frozen_setattr_in_post_init_allowed(tmp_path):
     assert result.clean
 
 
-def test_spec_picklable_fires_on_callable_field(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/perf/spec.py": """
-            from dataclasses import dataclass
-            from typing import Callable, Optional
-
-            @dataclass(frozen=True)
-            class RunSpec:
-                workload: str
-                observer_factory: Optional[Callable[[], object]] = None
-        """,
-    }, select=["frozen.spec-picklable"])
-    assert codes_of(result) == ["frozen.spec-picklable"]
-    assert "observer_factory" in result.violations[0].message
-
-
-def test_spec_picklable_accepts_scalars_and_dataclasses(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/perf/spec.py": """
-            from dataclasses import dataclass
-            from typing import Dict, Optional, Tuple
-
-            @dataclass(frozen=True)
-            class FaultConfig:
-                seed: int = 0
-                program_failure_prob: float = 0.0
-
-            @dataclass(frozen=True)
-            class RunSpec:
-                workload: str
-                system: str
-                scale: float = 0.25
-                seed: Optional[int] = None
-                faults: Optional[FaultConfig] = None
-                tags: Tuple[str, ...] = ()
-                extras: Dict[str, int] = None
-        """,
-    }, select=["frozen.spec-picklable"])
-    assert result.clean
-
-
-def test_spec_picklable_handles_string_annotations(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/perf/spec.py": """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class RunSpec:
-                workload: "str"
-                sampler: "TimeSeriesSampler" = None
-        """,
-    }, select=["frozen.spec-picklable"])
-    assert codes_of(result) == ["frozen.spec-picklable"]
-    assert "TimeSeriesSampler" in result.violations[0].message
-
-
-# ---------------------------------------------------------------------------
-# flow.taint-digest
-# ---------------------------------------------------------------------------
-
-def test_taint_digest_fires_across_calls(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/perf/bad.py": """
-            import time
-
-            def result_digest(value):
-                return value
-
-            def stamp():
-                return time.perf_counter()
-
-            def record():
-                return result_digest(stamp())
-        """,
-    }, select=["flow.taint-digest"])
-    assert codes_of(result) == ["flow.taint-digest"]
-    (violation,) = result.violations
-    # Anchored at the source, with the flow chain in the message.
-    assert violation.context == "stamp"
-    assert "result_digest" in violation.message
-    assert "->" in violation.message
-
-
-def test_taint_digest_three_hop_chain_det_rules_miss(tmp_path):
-    """The whole point of the interprocedural pass: the wall clock is
-    *sanctioned* where it is read (repro.perf, allowlisted by
-    ``det.wallclock``), and the digest call three hops away never
-    touches a clock itself — so every per-file ``det.*`` rule stays
-    quiet while the taint pass follows the value across modules."""
-    sources = {
-        "repro/perf/clock.py": """
-            import time
-
-            def now():
-                return time.perf_counter()
-        """,
-        "repro/traces/transform.py": """
-            from repro.perf.clock import now
-
-            def stamp_ops(ops):
-                started = now()
-                return [(started, op) for op in ops]
-        """,
-        "repro/experiments/record.py": """
-            from repro.traces.transform import stamp_ops
-
-            def result_digest(value):
-                return value
-
-            def record(ops):
-                return result_digest(stamp_ops(ops))
-        """,
-    }
-    det = lint_sources(
-        tmp_path, sources,
-        select=["det.wallclock", "det.environ", "det.global-random",
-                "det.set-iter"],
-    )
-    assert det.clean
-    flow = lint_sources(tmp_path, sources, select=["flow.taint-digest"])
-    assert codes_of(flow) == ["flow.taint-digest"]
-    (violation,) = flow.violations
-    assert violation.path.endswith("repro/perf/clock.py")
-    assert violation.context == "now"
-    assert "stamp_ops" in violation.message
-    assert "result_digest" in violation.message
-
-
-def test_taint_digest_quiet_for_seeded_values(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/perf/ok.py": """
-            def result_digest(value):
-                return value
-
-            def record(seed):
-                return result_digest(seed * 3)
-        """,
-    }, select=["flow.taint-digest"])
-    assert result.clean
-
-
-# ---------------------------------------------------------------------------
-# flow.hot-effect
-# ---------------------------------------------------------------------------
-
-def test_hot_effect_fires_on_print_under_device_step(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/sim/bad.py": """
-            class Device:
-                def step(self, now):
-                    self._tick(now)
-
-                def _tick(self, now):
-                    print("tick", now)
-        """,
-    }, select=["flow.hot-effect"])
-    assert codes_of(result) == ["flow.hot-effect"]
-    (violation,) = result.violations
-    assert violation.context == "Device._tick"
-    assert "Device.step" in violation.message
-
-
-def test_hot_effect_quiet_outside_the_hot_cone_and_in_obs(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/sim/ok.py": """
-            class Device:
-                def step(self, now):
-                    return now + 1
-
-                def debug_dump(self):
-                    print("cold path, never called from step")
-        """,
-        "repro/obs/taps.py": """
-            class Device:
-                def step(self, now):
-                    print("diagnostic layer is allowed to record")
-        """,
-    }, select=["flow.hot-effect"])
-    assert result.clean
-
-
-# ---------------------------------------------------------------------------
-# flow.blocking-async
-# ---------------------------------------------------------------------------
-
-def test_blocking_async_fires_on_sleep_in_serve_coroutine(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/serve/bad.py": """
-            import time
-
-            def drain():
-                time.sleep(0.1)
-
-            async def handle(session):
-                drain()
-        """,
-    }, select=["flow.blocking-async"])
-    assert codes_of(result) == ["flow.blocking-async"]
-    (violation,) = result.violations
-    assert violation.context == "drain"
-    assert "handle" in violation.message
-
-
-def test_blocking_async_quiet_outside_serve(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/fleet/ok.py": """
-            import time
-
-            async def helper():
-                time.sleep(0.1)
-        """,
-    }, select=["flow.blocking-async"])
-    assert result.clean
-
-
-# ---------------------------------------------------------------------------
-# flow.spec-pickle
-# ---------------------------------------------------------------------------
-
-def test_spec_pickle_fires_transitively(tmp_path):
-    """``frozen.spec-picklable`` validates RunSpec's own fields only;
-    the flow pass walks the reference closure and finds the Callable
-    one dataclass hop away."""
-    sources = {
-        "repro/perf/bad.py": """
-            from dataclasses import dataclass
-            from typing import Callable
-
-            @dataclass(frozen=True)
-            class Sampler:
-                hook: Callable
-
-            @dataclass(frozen=True)
-            class RunSpec:
-                workload: str
-                sampler: Sampler = None
-        """,
-    }
-    frozen = lint_sources(tmp_path, sources, select=["frozen.spec-picklable"])
-    assert frozen.clean
-    result = lint_sources(tmp_path, sources, select=["flow.spec-pickle"])
-    assert codes_of(result) == ["flow.spec-pickle"]
-    (violation,) = result.violations
-    assert violation.context == "Sampler"
-    assert "RunSpec -> Sampler" in violation.message
-
-
-def test_spec_pickle_quiet_for_picklable_closure(tmp_path):
-    result = lint_sources(tmp_path, {
-        "repro/perf/ok.py": """
-            from dataclasses import dataclass
-            from typing import Optional, Tuple
-
-            @dataclass(frozen=True)
-            class Inner:
-                values: Tuple[int, ...] = ()
-
-            @dataclass(frozen=True)
-            class RunSpec:
-                workload: str
-                inner: Optional[Inner] = None
-        """,
-    }, select=["flow.spec-pickle"])
-    assert result.clean
-
-
 # ---------------------------------------------------------------------------
 # suppression
 # ---------------------------------------------------------------------------
@@ -970,11 +704,6 @@ FIXTURES_BY_CODE = {
     "proto.pool-surface": test_pool_missing_surface_fires,
     "proto.ftl-hooks": test_ftl_subclass_missing_hooks_fires,
     "frozen.setattr": test_frozen_setattr_outside_post_init_fires,
-    "frozen.spec-picklable": test_spec_picklable_fires_on_callable_field,
-    "flow.taint-digest": test_taint_digest_fires_across_calls,
-    "flow.hot-effect": test_hot_effect_fires_on_print_under_device_step,
-    "flow.blocking-async": test_blocking_async_fires_on_sleep_in_serve_coroutine,
-    "flow.spec-pickle": test_spec_pickle_fires_transitively,
 }
 
 
@@ -1038,50 +767,6 @@ def test_rule_exits_nonzero_on_its_fixture(code, tmp_path, capsys):
                 "        object.__setattr__(self, 'x', 1)\n"
             ),
         },
-        "frozen.spec-picklable": {
-            "repro/perf/bad.py": (
-                "from dataclasses import dataclass\n"
-                "from typing import Callable\n"
-                "@dataclass\n"
-                "class RunSpec:\n"
-                "    hook: Callable\n"
-            ),
-        },
-        "flow.taint-digest": {
-            "repro/perf/bad.py": (
-                "import time\n"
-                "def result_digest(value):\n"
-                "    return value\n"
-                "def record():\n"
-                "    return result_digest(time.perf_counter())\n"
-            ),
-        },
-        "flow.hot-effect": {
-            "repro/sim/bad.py": (
-                "class Device:\n"
-                "    def step(self, now):\n"
-                "        print('tick')\n"
-            ),
-        },
-        "flow.blocking-async": {
-            "repro/serve/bad.py": (
-                "import time\n"
-                "async def handle():\n"
-                "    time.sleep(0.1)\n"
-            ),
-        },
-        "flow.spec-pickle": {
-            "repro/perf/bad.py": (
-                "from dataclasses import dataclass\n"
-                "from typing import Callable\n"
-                "@dataclass\n"
-                "class Inner:\n"
-                "    hook: Callable\n"
-                "@dataclass\n"
-                "class RunSpec:\n"
-                "    inner: Inner = None\n"
-            ),
-        },
     }[code]
     for rel, text in sources.items():
         path = tmp_path / rel
@@ -1089,7 +774,6 @@ def test_rule_exits_nonzero_on_its_fixture(code, tmp_path, capsys):
         path.write_text(textwrap.dedent(text))
     rc = cli.main([
         "lint", str(tmp_path),
-        "--no-baseline",
         "--select", code,
         "--package-root", str(tmp_path),
     ])

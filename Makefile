@@ -1,7 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint check perf-smoke fleet-smoke serve-smoke kv-smoke bench figures
+.PHONY: test lint check perf-smoke fleet-smoke serve-smoke kv-smoke bench figures \
+	replaybench replaybench-test
 
 test: lint check
 	$(PYTHON) -m pytest -q
@@ -59,6 +60,15 @@ kv-smoke:
 # plus the fleet section: long-lived shards, pool-mode comparison).
 bench:
 	$(PYTHON) benchmarks/perf/harness.py --out BENCH_matrix.json
+
+# Replay benchmark (BENCHMARK.json): every workload at seed 1, untraced
+# end-to-end metrics and the traced per-layer ledger (replaybench/README.md).
+replaybench:
+	$(PYTHON) replaybench/report.py
+
+# The replay benchmark's own tests (also a CI step).
+replaybench-test:
+	$(PYTHON) -m pytest -q replaybench/tests
 
 figures:
 	$(PYTHON) -m pytest benchmarks -q -s

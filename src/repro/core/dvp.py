@@ -175,10 +175,6 @@ class _PoolEntry:
         self.ppns.pop(ppn, None)
         self.ppns[ppn] = None
 
-    def take_ppn(self) -> int:
-        """Pop the most recently deceased PPN."""
-        return self.ppns.popitem()[0]
-
     def discard(self, ppn: int) -> bool:
         """Stop tracking ``ppn``; True when it was tracked."""
         if ppn in self.ppns:
@@ -262,11 +258,6 @@ class PoolBase(ABC):
         raise NotImplementedError
 
 
-def _take_ppn(entry: _PoolEntry) -> int:
-    """Pop the most recently deceased PPN (LIFO keeps the freshest copy)."""
-    return entry.take_ppn()
-
-
 class InfiniteDeadValuePool(PoolBase):
     """Unbounded pool: the *Ideal* upper bound of Figures 1, 5, 9 and 10."""
 
@@ -281,7 +272,7 @@ class InfiniteDeadValuePool(PoolBase):
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        ppn = _take_ppn(entry)
+        ppn = entry.ppns.popitem()[0]
         if not entry.ppns:
             del self._entries[fp]
         return ppn
@@ -294,7 +285,9 @@ class InfiniteDeadValuePool(PoolBase):
         popularity: int = 1,
         lpn: Optional[int] = None,
     ) -> List[int]:
-        entry = self._entries.setdefault(fp, _PoolEntry(popularity=popularity))
+        entry = self._entries.get(fp)
+        if entry is None:
+            entry = self._entries[fp] = _PoolEntry(popularity=popularity)
         entry.add_ppn(ppn)
         entry.popularity = max(entry.popularity, popularity)
         self.stats.insertions += 1
@@ -350,7 +343,7 @@ class LRUDeadValuePool(PoolBase):
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        ppn = _take_ppn(entry)
+        ppn = entry.ppns.popitem()[0]
         if not entry.ppns:
             self._cache.pop(fp)
         return ppn
@@ -440,18 +433,20 @@ class MQDeadValuePool(PoolBase):
         )
 
     def lookup_for_write(self, fp: Fingerprint, now: int) -> Optional[int]:
-        self.stats.lookups += 1
-        entry = self._mq.get(fp)
-        if entry is None or not entry.ppns:
-            self.stats.misses += 1
+        stats = self.stats
+        stats.lookups += 1
+        node = self._mq.entry(fp)
+        if node is None or not node.payload.ppns:
+            stats.misses += 1
             return None
-        self.stats.hits += 1
-        ppn = _take_ppn(entry)
-        if not entry.ppns:
+        stats.hits += 1
+        ppns = node.payload.ppns
+        ppn = ppns.popitem()[0]
+        if not ppns:
             # Last dead copy revived: the entry no longer describes garbage.
             self._mq.remove(fp)
         else:
-            self._mq.access(fp, now)
+            self._mq.touch(fp, node, now)
         return ppn
 
     def insert_garbage(
@@ -463,12 +458,18 @@ class MQDeadValuePool(PoolBase):
         lpn: Optional[int] = None,
     ) -> List[int]:
         self.stats.insertions += 1
-        existing = self._mq.get(fp)
-        if existing is not None:
-            existing.add_ppn(ppn)
-            existing.popularity = max(existing.popularity, popularity)
-            self._mq.access(fp, now)
-            if popularity > self._mq.entry(fp).popularity:
+        node = self._mq.entry(fp)
+        if node is not None:
+            existing = node.payload
+            # _PoolEntry.add_ppn, in place: re-place ``ppn`` at the fresh end.
+            ppns = existing.ppns
+            if ppn in ppns:
+                del ppns[ppn]
+            ppns[ppn] = None
+            if popularity > existing.popularity:
+                existing.popularity = popularity
+            self._mq.touch(fp, node, now)
+            if popularity > node.popularity:
                 # The 1-byte popularity persisted in the LPN-to-PPN table
                 # outran the MQ reference count (the value kept getting
                 # written while absent): sync the count and re-place.

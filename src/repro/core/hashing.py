@@ -120,11 +120,6 @@ INTERN_CACHE_SIZE = 1 << 18
 
 
 @lru_cache(maxsize=INTERN_CACHE_SIZE)
-def _interned(value_id: int) -> Fingerprint:
-    return Fingerprint(value_id)
-
-
-@lru_cache(maxsize=INTERN_CACHE_SIZE)
 def _digest_of(fp: Fingerprint) -> bytes:
     value = int(fp)
     if value >= _BYTES_TAG:
@@ -132,6 +127,7 @@ def _digest_of(fp: Fingerprint) -> bytes:
     return value.to_bytes(DIGEST_SIZE, "big")
 
 
+@lru_cache(maxsize=INTERN_CACHE_SIZE)
 def fingerprint_of_value(value_id: int) -> Fingerprint:
     """Fingerprint of a synthetic value id.
 
@@ -141,7 +137,7 @@ def fingerprint_of_value(value_id: int) -> Fingerprint:
     ids — including the ``initial_value_of`` ids prefill writes — reuse one
     shared immutable object.
     """
-    return _interned(value_id)
+    return Fingerprint(value_id)
 
 
 def fingerprint_of_bytes(data: bytes) -> Fingerprint:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .block import Block, PageState
+from .block import INVALID_BYTE, VALID_BYTE, Block, PageState
 from .config import SSDConfig
 from .geometry import Geometry
 
@@ -60,16 +60,28 @@ class FlashArray:
         return block_global * self._pages_per_block + page
 
     def invalidate(self, ppn: int) -> None:
-        """A value copy died at ``ppn`` (out-of-place update or unmap)."""
-        block, page = divmod(ppn, self._pages_per_block)
-        self.blocks[block].invalidate(page)
+        """A value copy died at ``ppn`` (out-of-place update or unmap).
+        The state byte flips here; :meth:`Block.invalidate` only raises."""
+        block = self.blocks[ppn // self._pages_per_block]
+        page = ppn % self._pages_per_block
+        if block.states[page] != VALID_BYTE:
+            block.invalidate(page)
+        block.states[page] = INVALID_BYTE
+        block.valid_count -= 1
+        block.invalid_count += 1
         self.valid_pages -= 1
         self.invalid_pages += 1
 
     def revive(self, ppn: int) -> None:
-        """Dead-value-pool hit: turn the garbage page back to valid."""
-        block, page = divmod(ppn, self._pages_per_block)
-        self.blocks[block].revive(page)
+        """Dead-value-pool hit: turn the garbage page back to valid.
+        The state byte flips here; :meth:`Block.revive` only raises."""
+        block = self.blocks[ppn // self._pages_per_block]
+        page = ppn % self._pages_per_block
+        if block.states[page] != INVALID_BYTE:
+            block.revive(page)
+        block.states[page] = VALID_BYTE
+        block.invalid_count -= 1
+        block.valid_count += 1
         self.invalid_pages -= 1
         self.valid_pages += 1
 

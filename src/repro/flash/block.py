@@ -16,8 +16,9 @@ rework, ISSUE 6): a 256-page block costs 256 bytes instead of a list of 256
 enum references, erase/retire reset the buffer in place (one C-level
 memset) rather than reallocating it, and the valid/invalid recounts in
 ``check_invariants`` run at ``bytes.count`` speed.  ``state_of`` still
-returns the :class:`PageState` enum — the byte encoding is this module's
-private business.
+returns the :class:`PageState` enum.  The byte encoding is this module's
+and :class:`~repro.flash.array.FlashArray`'s business: the array flips
+VALID and INVALID bytes in place on its per-page hot path.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class PageState(Enum):
 
 #: Byte values stored in ``Block.states`` — the enum's values, fixed here
 #: so the packed representation is explicit.
-_FREE, _VALID, _INVALID = 0, 1, 2
+FREE_BYTE, VALID_BYTE, INVALID_BYTE = 0, 1, 2
 
 #: Byte → enum, indexable by the stored state byte.
 _STATE_OF_BYTE = (PageState.FREE, PageState.VALID, PageState.INVALID)
@@ -88,30 +89,30 @@ class Block:
         page = self.write_pointer
         if page >= self.pages_per_block:
             raise RuntimeError("programming a full block")
-        self.states[page] = _VALID
+        self.states[page] = VALID_BYTE
         self.write_pointer = page + 1
         self.valid_count += 1
         return page
 
     def invalidate(self, page: int) -> None:
         """VALID → INVALID: the copy stored here just died."""
-        if self.states[page] != _VALID:
+        if self.states[page] != VALID_BYTE:
             raise RuntimeError(
                 f"invalidating page {page} in state "
                 f"{_STATE_OF_BYTE[self.states[page]].name}"
             )
-        self.states[page] = _INVALID
+        self.states[page] = INVALID_BYTE
         self.valid_count -= 1
         self.invalid_count += 1
 
     def revive(self, page: int) -> None:
         """INVALID → VALID: a dead-value-pool hit resurrected this page."""
-        if self.states[page] != _INVALID:
+        if self.states[page] != INVALID_BYTE:
             raise RuntimeError(
                 f"reviving page {page} in state "
                 f"{_STATE_OF_BYTE[self.states[page]].name}"
             )
-        self.states[page] = _VALID
+        self.states[page] = VALID_BYTE
         self.invalid_count -= 1
         self.valid_count += 1
 
@@ -149,19 +150,19 @@ class Block:
         """In-block indexes of VALID pages (relocation set during GC)."""
         states = self.states
         return [
-            i for i in range(self.write_pointer) if states[i] == _VALID
+            i for i in range(self.write_pointer) if states[i] == VALID_BYTE
         ]
 
     def invalid_page_indexes(self) -> List[int]:
         states = self.states
         return [
-            i for i in range(self.write_pointer) if states[i] == _INVALID
+            i for i in range(self.write_pointer) if states[i] == INVALID_BYTE
         ]
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` on inconsistent counters (test hook)."""
-        valid = self.states.count(_VALID)
-        invalid = self.states.count(_INVALID)
+        valid = self.states.count(VALID_BYTE)
+        invalid = self.states.count(INVALID_BYTE)
         assert valid == self.valid_count, "valid_count out of sync"
         assert invalid == self.invalid_count, "invalid_count out of sync"
         assert valid + invalid <= self.write_pointer, "programmed-count mismatch"

@@ -70,9 +70,6 @@ class TimelineSet:
         self.hash_unit = ResourceTimeline("hash")
         self._chips_per_channel = chips_per_channel
 
-    def channel_of_chip(self, chip: int) -> ResourceTimeline:
-        return self.channels[chip // self._chips_per_channel]
-
     def chip_op(
         self, chip: int, arrival: float, flash_us: float, xfer_us: float
     ) -> float:
@@ -82,16 +79,37 @@ class TimelineSet:
         The transfer occupies the shared channel, the array time only the
         chip; both are charged FIFO.  This captures the first-order
         interference the paper relies on (ops queueing behind programs and
-        erases) without per-die bookkeeping.
+        erases) without per-die bookkeeping.  Both schedules are
+        :meth:`ResourceTimeline.schedule`, written out in place.
         """
-        channel = self.channel_of_chip(chip)
-        _, xfer_end = channel.schedule(arrival, xfer_us)
-        _, end = self.chips[chip].schedule(xfer_end, flash_us)
+        if xfer_us < 0 or flash_us < 0:
+            raise ValueError("duration must be non-negative")
+        channel = self.channels[chip // self._chips_per_channel]
+        busy = channel.busy_until
+        start = busy if busy > arrival else arrival
+        xfer_end = start + xfer_us
+        channel.busy_until = xfer_end
+        channel.busy_time += xfer_us
+        channel.op_count += 1
+        timeline = self.chips[chip]
+        busy = timeline.busy_until
+        start = busy if busy > xfer_end else xfer_end
+        end = start + flash_us
+        timeline.busy_until = end
+        timeline.busy_time += flash_us
+        timeline.op_count += 1
         return end
 
     def hash_op(self, arrival: float, hash_us: float) -> float:
         """Charge a content-hash computation to the controller hash unit."""
-        _, end = self.hash_unit.schedule(arrival, hash_us)
+        if hash_us < 0:
+            raise ValueError("duration must be non-negative")
+        unit = self.hash_unit
+        busy = unit.busy_until
+        end = (busy if busy > arrival else arrival) + hash_us
+        unit.busy_until = end
+        unit.busy_time += hash_us
+        unit.op_count += 1
         return end
 
     def stall_all(self, until: float) -> None:

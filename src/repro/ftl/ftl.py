@@ -66,10 +66,6 @@ class FTLCounters:
         """Host programs plus GC relocation programs (drive write traffic)."""
         return self.programs + self.gc_relocations
 
-    @property
-    def write_reduction_vs(self) -> float:
-        raise AttributeError("use experiments.comparison helpers")
-
 
 @dataclass(slots=True)
 class WriteOutcome:
@@ -160,8 +156,11 @@ class BaseFTL:
         self.allocator = PageAllocator(self.array)
         self.mapping = MappingTable(config.logical_pages, config.total_pages)
         # Exported capacity, cached: ``config.logical_pages`` is a derived
-        # property chain and ``_check_lpn`` runs on every host operation.
+        # property chain and the range check runs on every host operation.
         self._logical_pages = config.logical_pages
+        # PPN -> block is ``ppn // pages_per_block``; cached for the same
+        # reason (per-death and per-revival garbage-popularity updates).
+        self._pages_per_block = config.pages_per_block
         self.pool = pool
         self.combine_read_popularity = combine_read_popularity
         policy = (
@@ -342,37 +341,38 @@ class BaseFTL:
 
     def write(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
         """Service one 4KB host write of content ``fp`` at ``lpn``."""
+        span = None
         if self.tracer is not None:
-            with self.tracer.span("ftl.write"):
-                return self._write_impl(lpn, fp)
-        return self._write_impl(lpn, fp)
-
-    def _write_impl(self, lpn: int, fp: Fingerprint) -> WriteOutcome:
-        self._check_lpn(lpn)
-        self.write_clock += 1
-        self.counters.host_writes += 1
-        if self.read_only:
-            # End-of-life degradation: the write fails before it touches
-            # any state (the old copy at ``lpn`` survives).
-            if self.faults is not None:
-                self.faults.stats.rejected_writes += 1
-            outcome = WriteOutcome(lpn=lpn, rejected=True)
+            span = self.tracer.span("ftl.write")
+            span.__enter__()
+        try:
+            if not 0 <= lpn < self._logical_pages:
+                raise self._lpn_error(lpn)
+            self.write_clock += 1
+            self.counters.host_writes += 1
+            if self.read_only:
+                # End-of-life degradation: the write fails before it
+                # touches any state (the old copy at ``lpn`` survives).
+                if self.faults is not None:
+                    self.faults.stats.rejected_writes += 1
+                outcome = WriteOutcome(lpn=lpn, rejected=True)
+            else:
+                # Saturating per-value popularity bump, persisted in the
+                # LPN's 1-byte popularity field.
+                write_pop = self._write_popularity
+                popularity = write_pop.get(fp, 0) + 1
+                if popularity > POPULARITY_MAX:
+                    popularity = POPULARITY_MAX
+                write_pop[fp] = popularity
+                self.mapping.set_popularity(lpn, popularity)
+                outcome = WriteOutcome(lpn, self.content_aware)
+                self._handle_write(lpn, fp, outcome)
             if self.checker is not None:
                 self.checker.after_write(self, lpn, fp, outcome)
             return outcome
-        # Saturating popularity bump, inlined (= _bump_write_popularity):
-        # two dict ops per host write are measurably cheaper than a call.
-        write_pop = self._write_popularity
-        popularity = write_pop.get(fp, 0) + 1
-        if popularity > POPULARITY_MAX:
-            popularity = POPULARITY_MAX
-        write_pop[fp] = popularity
-        self.mapping.set_popularity(lpn, popularity)
-        outcome = WriteOutcome(lpn=lpn, hashed=self.content_aware)
-        self._handle_write(lpn, fp, outcome)
-        if self.checker is not None:
-            self.checker.after_write(self, lpn, fp, outcome)
-        return outcome
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
     def _handle_write(
         self, lpn: int, fp: Fingerprint, outcome: WriteOutcome
@@ -392,12 +392,33 @@ class BaseFTL:
         revived = None
         if self.pool is not None:
             revived = self.pool.lookup_for_write(fp, self.write_clock)
-        if revived is not None:
-            self._revive(lpn, revived, outcome)
-            outcome.short_circuited = True
-            outcome.revived_ppn = revived
-        else:
+        if revived is None:
             outcome.program_ppn = self._program(lpn, fp, outcome)
+            return
+        # Dead-value-pool hit: the garbage page comes back to life and no
+        # program is issued.
+        if self.verify_hits:
+            # CAFTL-style collision safety: read the page back and
+            # byte-compare before trusting the 16B hash match.
+            outcome.verify_read_ppn = revived
+            self.counters.flash_reads += 1
+        self.array.revive(revived)
+        # Revived, so its popularity no longer shields its block from GC.
+        popularity = self._garbage_pop_of_ppn.pop(revived, None)
+        if popularity is not None:
+            block_pop = self._block_garbage_pop
+            block = revived // self._pages_per_block
+            remaining = block_pop.get(block, 0) - popularity
+            if remaining > 0:
+                block_pop[block] = remaining
+            else:
+                block_pop.pop(block, None)
+        self.mapping.map(lpn, revived)
+        self._oob_seq += 1
+        self._oob[revived] = (lpn, self._oob_seq)
+        self.counters.short_circuits += 1
+        outcome.short_circuited = True
+        outcome.revived_ppn = revived
 
     def trim(self, lpn: int) -> None:
         """Host discard: drop ``lpn``'s mapping.
@@ -407,7 +428,8 @@ class BaseFTL:
         data can still resurrect the trimmed page.  This is TRIM's natural
         interaction with the paper's mechanism (not evaluated there).
         """
-        self._check_lpn(lpn)
+        if not 0 <= lpn < self._logical_pages:
+            raise self._lpn_error(lpn)
         self.counters.host_trims += 1
         self._invalidate_lpn(lpn)
         # Journal the trim so crash recovery does not resurrect the LPN
@@ -419,54 +441,39 @@ class BaseFTL:
 
     def read(self, lpn: int) -> ReadOutcome:
         """Service one 4KB host read."""
+        span = None
         if self.tracer is not None:
-            with self.tracer.span("ftl.read"):
-                return self._read_impl(lpn)
-        return self._read_impl(lpn)
-
-    def _read_impl(self, lpn: int) -> ReadOutcome:
-        self._check_lpn(lpn)
-        self.counters.host_reads += 1
-        ppn = self.mapping.lookup(lpn)
-        if ppn is not None:
-            self.counters.flash_reads += 1
-            if self.combine_read_popularity:
-                fp = self._ppn_fp.get(ppn)
-                if fp is not None:
-                    count = self._read_popularity.get(fp, 0) + 1
-                    self._read_popularity[fp] = min(count, POPULARITY_MAX)
-        outcome = ReadOutcome(lpn=lpn, ppn=ppn)
-        if self.checker is not None:
-            self.checker.after_read(self, lpn, outcome)
-        return outcome
+            span = self.tracer.span("ftl.read")
+            span.__enter__()
+        try:
+            if not 0 <= lpn < self._logical_pages:
+                raise self._lpn_error(lpn)
+            self.counters.host_reads += 1
+            ppn = self.mapping.lookup(lpn)
+            if ppn is not None:
+                self.counters.flash_reads += 1
+                if self.combine_read_popularity:
+                    fp = self._ppn_fp.get(ppn)
+                    if fp is not None:
+                        count = self._read_popularity.get(fp, 0) + 1
+                        self._read_popularity[fp] = min(count, POPULARITY_MAX)
+            outcome = ReadOutcome(lpn, ppn)
+            if self.checker is not None:
+                self.checker.after_read(self, lpn, outcome)
+            return outcome
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
     # ------------------------------------------------------------------
     # Write-path mechanics
     # ------------------------------------------------------------------
 
-    def _check_lpn(self, lpn: int) -> None:
-        if not 0 <= lpn < self._logical_pages:
-            raise ValueError(
-                f"LPN {lpn} outside exported capacity "
-                f"({self._logical_pages} pages)"
-            )
-
-    def _record_oob(self, ppn: int, lpn: int) -> None:
-        """Journal (lpn, seq) into ``ppn``'s out-of-band area."""
-        self._oob_seq += 1
-        self._oob[ppn] = (lpn, self._oob_seq)
-
-    def _bump_write_popularity(self, fp: Fingerprint) -> int:
-        value = min(self._write_popularity.get(fp, 0) + 1, POPULARITY_MAX)
-        self._write_popularity[fp] = value
-        return value
-
-    def _pool_popularity(self, fp: Fingerprint) -> int:
-        """Popularity degree handed to the pool on insertion."""
-        pop = self._write_popularity.get(fp, 1)
-        if self.combine_read_popularity:
-            pop = min(pop + self._read_popularity.get(fp, 0), POPULARITY_MAX)
-        return pop
+    def _lpn_error(self, lpn: int) -> ValueError:
+        return ValueError(
+            f"LPN {lpn} outside exported capacity "
+            f"({self._logical_pages} pages)"
+        )
 
     def _program(
         self, lpn: int, fp: Fingerprint, outcome: WriteOutcome
@@ -515,22 +522,11 @@ class BaseFTL:
                 ppn = self.allocator.allocate_in_plane(plane)
         self.mapping.map(lpn, ppn)
         self._ppn_fp[ppn] = fp
-        self._record_oob(ppn, lpn)
+        # Journal (lpn, seq) into the page's out-of-band area.
+        self._oob_seq += 1
+        self._oob[ppn] = (lpn, self._oob_seq)
         self.counters.programs += 1
         return ppn
-
-    def _revive(self, lpn: int, ppn: int, outcome: WriteOutcome) -> None:
-        """Dead-value-pool hit: garbage page back to life, no program."""
-        if self.verify_hits:
-            # CAFTL-style collision safety: read the page back and
-            # byte-compare before trusting the 16B hash match.
-            outcome.verify_read_ppn = ppn
-            self.counters.flash_reads += 1
-        self.array.revive(ppn)
-        self._clear_garbage_pop(ppn)
-        self.mapping.map(lpn, ppn)
-        self._record_oob(ppn, lpn)
-        self.counters.short_circuits += 1
 
     def _invalidate_lpn(self, lpn: int) -> None:
         """Out-of-place update: kill the copy previously mapped at ``lpn``."""
@@ -550,32 +546,32 @@ class BaseFTL:
         """A physical page just became garbage: offer it to the pool."""
         if self.pool is None:
             return
-        popularity = self._pool_popularity(fp)
+        # The popularity degree handed to the pool: write popularity, plus
+        # read popularity in the LX-SSD configuration.
+        popularity = self._write_popularity.get(fp, 1)
+        if self.combine_read_popularity:
+            popularity = min(
+                popularity + self._read_popularity.get(fp, 0), POPULARITY_MAX
+            )
         dropped = self.pool.insert_garbage(
             fp, ppn, self.write_clock, popularity=popularity, lpn=lpn
         )
-        self._add_garbage_pop(ppn, popularity)
+        # Popularity mass per block: the popularity-aware GC victim metric.
+        block = ppn // self._pages_per_block
+        self._garbage_pop_of_ppn[ppn] = popularity
+        block_pop = self._block_garbage_pop
+        block_pop[block] = block_pop.get(block, 0) + popularity
         for dropped_ppn in dropped:
             # Evicted from the pool: the page stays garbage but its
             # popularity no longer shields its block from GC.
             self._clear_garbage_pop(dropped_ppn)
 
-    # ------------------------------------------------------------------
-    # Popularity mass per block (input to popularity-aware GC)
-    # ------------------------------------------------------------------
-
-    def _add_garbage_pop(self, ppn: int, popularity: int) -> None:
-        block = self.array.geometry.block_of_ppn(ppn)
-        self._garbage_pop_of_ppn[ppn] = popularity
-        self._block_garbage_pop[block] = (
-            self._block_garbage_pop.get(block, 0) + popularity
-        )
-
     def _clear_garbage_pop(self, ppn: int) -> None:
+        """Take a page's popularity out of its block's garbage mass."""
         popularity = self._garbage_pop_of_ppn.pop(ppn, None)
         if popularity is None:
             return
-        block = self.array.geometry.block_of_ppn(ppn)
+        block = ppn // self._pages_per_block
         remaining = self._block_garbage_pop.get(block, 0) - popularity
         if remaining > 0:
             self._block_garbage_pop[block] = remaining
@@ -594,7 +590,8 @@ class BaseFTL:
         entry = self._oob.pop(old_ppn, None)
         if entry is not None:
             # GC rewrote the page, so its OOB area is rewritten too.
-            self._record_oob(new_ppn, entry[0])
+            self._oob_seq += 1
+            self._oob[new_ppn] = (entry[0], self._oob_seq)
 
     def erase_cleanup(self, block_global: int, invalid_ppns: List[int]) -> None:
         for ppn in invalid_ppns:

@@ -221,7 +221,12 @@ class MappingTable:
     def set_popularity(self, lpn: int, value: int) -> None:
         if not 0 <= lpn < len(self._pop):
             self._grow_lpn(lpn)
-        self._pop[lpn] = min(max(value, 0), POPULARITY_MAX)
+        # Clamp to the byte (comparisons: every host write lands here).
+        if value > POPULARITY_MAX:
+            value = POPULARITY_MAX
+        elif value < 0:
+            value = 0
+        self._pop[lpn] = value
 
     def bump_popularity(self, lpn: int) -> int:
         """Saturating increment of ``lpn``'s popularity byte; returns it."""

@@ -88,7 +88,10 @@ class BackgroundGCSSD(SimulatedSSD):
             work = self.ftl.gc.background_collect(
                 plane, self.background_watermark
             )
-            if work.erase_count or work.relocation_count:
+            # Charged like the foreground path in ``BaseFTL._program``:
+            # a pass whose only work is a retired block still occupied the
+            # chip with its failed erase attempt.
+            if work.erased_blocks or work.relocations or work.retired_blocks:
                 self.ftl.counters.gc_erases += work.erase_count
                 self.ftl.counters.gc_relocations += work.relocation_count
                 self.background_erases += work.erase_count

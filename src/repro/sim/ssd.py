@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
+from ..core.hashing import fingerprint_of_value
 from ..flash.timing import TimelineSet
 from ..ftl.ftl import BaseFTL
 from ..ftl.gc import GCWork
@@ -59,6 +60,9 @@ class SimulatedSSD:
         config = ftl.config
         self.timing = config.timing
         self.geometry = ftl.array.geometry
+        # PPN -> chip is ``ppn // pages_per_chip``, cached for the
+        # per-request pricing in :meth:`submit`.
+        self._pages_per_chip = self.geometry.pages_per_chip
         self.timelines = TimelineSet(
             config.total_chips, config.channels, config.chips_per_channel
         )
@@ -83,99 +87,84 @@ class SimulatedSSD:
     def submit(self, request: IORequest) -> CompletedRequest:
         """Service one request; returns its completion record."""
         start = self.host_queue.admit(request.arrival_us)
-        if request.op is OpType.TRIM:
-            completed = self._submit_trim(request, start)
-        elif request.is_write:
-            completed = self._submit_write(request, start)
-            self.writes.record(completed.latency_us)
+        timing = self.timing
+        timelines = self.timelines
+        op = request.op
+        short_circuited = dedup_hit = False
+        if op is OpType.WRITE:
+            outcome = self.ftl.write(
+                request.lpn, fingerprint_of_value(request.value_id)
+            )
+            now = start
+            if outcome.hashed:
+                now = timelines.hash_op(now, timing.hash_us)
+            now += timing.mapping_us
+            if outcome.translation_reads or outcome.translation_writes:
+                now = self._charge_translation(request.lpn, outcome, now)
+            if outcome.verify_read_ppn is not None:
+                # Hit verification: the matching page is read back and
+                # byte-compared before the tables are updated.
+                now = timelines.chip_op(
+                    outcome.verify_read_ppn // self._pages_per_chip,
+                    now, timing.read_us, timing.channel_xfer_us,
+                )
+            finish = now
+            if outcome.program_ppn is not None or outcome.failed_program_ppns:
+                # GC ran before the allocation, so its reads/programs/erase
+                # occupy the chip first and this write queues behind them —
+                # "any requests that come during GC are queued up" (Section I).
+                if outcome.gc is not None:
+                    self._charge_gc(outcome.gc, now)
+                if outcome.failed_program_ppns:
+                    # Fault layer: every failed attempt still paid the full
+                    # program latency before the status came back bad.
+                    for ppn in outcome.failed_program_ppns:
+                        finish = timelines.chip_op(
+                            ppn // self._pages_per_chip,
+                            finish, timing.program_us, timing.channel_xfer_us,
+                        )
+                if outcome.program_ppn is not None:
+                    finish = timelines.chip_op(
+                        outcome.program_ppn // self._pages_per_chip,
+                        finish, timing.program_us, timing.channel_xfer_us,
+                    )
+            # Otherwise a revived garbage page, dedup pointer or rejected
+            # write: tables only, no flash.
+            short_circuited = outcome.short_circuited
+            dedup_hit = outcome.dedup_hit
+            self.writes.record(finish - request.arrival_us)
+        elif op is OpType.READ:
+            outcome = self.ftl.read(request.lpn)
+            finish = start + timing.mapping_us
+            if outcome.translation_reads or outcome.translation_writes:
+                finish = self._charge_translation(request.lpn, outcome, finish)
+            if outcome.ppn is not None:
+                read_us = timing.read_us
+                faults = self.ftl.faults
+                if faults is not None:
+                    # ECC read-retry: extra sensing rounds at shifted
+                    # reference voltages, all serialised on the page's chip.
+                    read_us = timing.read_service_us(faults.read_retry_rounds())
+                finish = timelines.chip_op(
+                    outcome.ppn // self._pages_per_chip,
+                    finish, read_us, timing.channel_xfer_us,
+                )
+            self.reads.record(finish - request.arrival_us)
         else:
-            completed = self._submit_read(request, start)
-            self.reads.record(completed.latency_us)
-        self.host_queue.register(completed.finish_us)
+            # TRIM is a metadata operation: table updates only.
+            self.ftl.trim(request.lpn)
+            finish = start + timing.mapping_us
+        completed = CompletedRequest(
+            request, start, finish, short_circuited, dedup_hit
+        )
+        self.host_queue.register(finish)
         if self.log is not None:
             self.log.record(completed)
-        if completed.finish_us > self._horizon_us:
-            self._horizon_us = completed.finish_us
+        if finish > self._horizon_us:
+            self._horizon_us = finish
         if self.observer is not None:
-            self.observer.on_request(completed.finish_us)
+            self.observer.on_request(finish)
         return completed
-
-    def _submit_write(self, request: IORequest, start: float) -> CompletedRequest:
-        outcome = self.ftl.write(request.lpn, request.fingerprint)
-        now = start
-        if outcome.hashed:
-            now = self.timelines.hash_op(now, self.timing.hash_us)
-        now += self.timing.mapping_us
-        now = self._charge_translation(request.lpn, outcome, now)
-        if outcome.verify_read_ppn is not None:
-            # Hit verification: the matching page is read back and
-            # byte-compared before the tables are updated.
-            chip = self.geometry.chip_of_ppn(outcome.verify_read_ppn)
-            now = self.timelines.chip_op(
-                chip, now, self.timing.read_us, self.timing.channel_xfer_us
-            )
-        if outcome.program_ppn is not None or outcome.failed_program_ppns:
-            # GC ran before the allocation, so its reads/programs/erase
-            # occupy the chip first and this write queues behind them —
-            # "any requests that come during GC are queued up" (Section I).
-            if outcome.gc is not None:
-                self._charge_gc(outcome.gc, now)
-            finish = now
-            if outcome.failed_program_ppns:
-                # Fault layer: every failed attempt still paid the full
-                # program latency before the status came back bad.
-                for ppn in outcome.failed_program_ppns:
-                    chip = self.geometry.chip_of_ppn(ppn)
-                    finish = self.timelines.chip_op(
-                        chip,
-                        finish,
-                        self.timing.program_us,
-                        self.timing.channel_xfer_us,
-                    )
-            if outcome.program_ppn is not None:
-                chip = self.geometry.chip_of_ppn(outcome.program_ppn)
-                finish = self.timelines.chip_op(
-                    chip,
-                    finish,
-                    self.timing.program_us,
-                    self.timing.channel_xfer_us,
-                )
-        else:
-            # Revived garbage page, dedup pointer or rejected write:
-            # tables only, no flash.
-            finish = now
-        return CompletedRequest(
-            request=request,
-            start_us=start,
-            finish_us=finish,
-            short_circuited=outcome.short_circuited,
-            dedup_hit=outcome.dedup_hit,
-        )
-
-    def _submit_trim(self, request: IORequest, start: float) -> CompletedRequest:
-        """TRIM is a metadata operation: table updates only."""
-        self.ftl.trim(request.lpn)
-        finish = start + self.timing.mapping_us
-        return CompletedRequest(request=request, start_us=start, finish_us=finish)
-
-    def _submit_read(self, request: IORequest, start: float) -> CompletedRequest:
-        outcome = self.ftl.read(request.lpn)
-        now = start + self.timing.mapping_us
-        now = self._charge_translation(request.lpn, outcome, now)
-        if outcome.flash_read:
-            read_us = self.timing.read_us
-            faults = self.ftl.faults
-            if faults is not None:
-                # ECC read-retry: extra sensing rounds at shifted reference
-                # voltages, all serialised on the page's chip.
-                read_us = self.timing.read_service_us(faults.read_retry_rounds())
-            chip = self.geometry.chip_of_ppn(outcome.ppn)
-            finish = self.timelines.chip_op(
-                chip, now, read_us, self.timing.channel_xfer_us
-            )
-        else:
-            finish = now
-        return CompletedRequest(request=request, start_us=start, finish_us=finish)
 
     def _charge_translation(self, lpn: int, outcome, now: float) -> float:
         """Price DFTL translation-page traffic, if the FTL produced any.
@@ -184,10 +173,8 @@ class SimulatedSSD:
         charged to a chip derived from the translation-page index, so hot
         mapping regions contend realistically.
         """
-        reads = getattr(outcome, "translation_reads", 0)
-        writes = getattr(outcome, "translation_writes", 0)
-        if not reads and not writes:
-            return now
+        reads = outcome.translation_reads
+        writes = outcome.translation_writes
         chip = (lpn // 512) % len(self.timelines.chips)
         for _ in range(reads):
             now = self.timelines.chip_op(

@@ -144,12 +144,12 @@ def _lock():
     ids=["print", "log", "open", "lock"],
 )
 def test_effect_in_ftl_write_is_caught(monkeypatch, effect, expected):
-    original = BaseFTL._write_impl
+    original = BaseFTL.write
 
     def write_with_effect(self, lpn, fp):
         effect()
         return original(self, lpn, fp)
 
-    monkeypatch.setattr(BaseFTL, "_write_impl", write_with_effect)
+    monkeypatch.setattr(BaseFTL, "write", write_with_effect)
     found = forbidden_callees(profiled_step("mq-dvp", "mail"))
     assert any(expected in name for name in found), found

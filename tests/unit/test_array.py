@@ -75,3 +75,20 @@ class TestArrayAccounting:
         array.program_in_block(0)
         with pytest.raises(RuntimeError):
             array.erase(0)
+
+    def test_illegal_state_flips_refused(self, tiny_config):
+        """invalidate needs a VALID page and revive an INVALID one; a
+        refused flip leaves every counter as it was."""
+        array = FlashArray(tiny_config)
+        ppn = array.program_in_block(0)
+        free_ppn = ppn + 1
+        with pytest.raises(RuntimeError):
+            array.revive(ppn)
+        for flip in (array.invalidate, array.revive):
+            with pytest.raises(RuntimeError):
+                flip(free_ppn)
+        array.invalidate(ppn)
+        with pytest.raises(RuntimeError):
+            array.invalidate(ppn)
+        assert (array.valid_pages, array.invalid_pages) == (0, 1)
+        array.check_invariants()

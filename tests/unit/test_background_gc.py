@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.hashing import fingerprint_of_value as fp
+from repro.faults import FaultConfig, FaultModel
 from repro.flash.array import FlashArray
 from repro.ftl.ftl import BaseFTL
 from repro.sim.background import BackgroundGCSSD
@@ -102,3 +103,28 @@ class TestBackgroundGCSSD:
         ):
             device.submit(request)
         ftl.check_invariants()
+
+    def test_retire_only_pass_charges_the_failed_erase(self, tiny_config):
+        """Every erase attempt fails, so each victim is retired, not
+        erased.  The failed attempt still occupied the victim's chip,
+        exactly as the foreground path charges it."""
+        ftl = BaseFTL(tiny_config)
+        ftl.attach_faults(FaultModel(FaultConfig(erase_failure_prob=1.0)))
+        ppb = tiny_config.pages_per_block
+        planes = ftl.array.geometry.total_planes
+        for plane in range(planes):
+            # Full blocks of garbage only: collection retires them with
+            # no relocation and no successful erase.
+            while ftl.allocator.free_block_count(plane) > 12:
+                for _ in range(ppb):
+                    ftl.array.invalidate(ftl.allocator.allocate_in_plane(plane))
+        device = BackgroundGCSSD(
+            ftl, background_watermark=15, planes_per_probe=planes
+        )
+        device.submit(IORequest(0.0, OpType.READ, 0, 0))
+        assert ftl.array.retired_blocks == planes
+        assert ftl.counters.gc_erases == 0
+        erase_us = tiny_config.timing.erase_us
+        assert [chip.busy_until for chip in device.timelines.chips] == [
+            erase_us
+        ] * len(device.timelines.chips)

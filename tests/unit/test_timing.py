@@ -54,10 +54,22 @@ class TestTimelineSet:
             TimelineSet(num_chips=5, num_channels=2, chips_per_channel=2)
 
     def test_channel_of_chip(self):
+        """chip_op charges the transfer to channel chip // chips_per_channel."""
         ts = TimelineSet(num_chips=4, num_channels=2, chips_per_channel=2)
-        assert ts.channel_of_chip(0) is ts.channels[0]
-        assert ts.channel_of_chip(1) is ts.channels[0]
-        assert ts.channel_of_chip(2) is ts.channels[1]
+        for chip in (0, 1, 2):
+            ts.chip_op(chip, 0.0, 400.0, 10.0)
+        assert [c.op_count for c in ts.channels] == [2, 1]
+        assert [c.op_count for c in ts.chips] == [1, 1, 1, 0]
+
+    def test_negative_durations_rejected(self):
+        ts = TimelineSet(num_chips=1, num_channels=1, chips_per_channel=1)
+        for flash_us, xfer_us in ((-1.0, 10.0), (400.0, -1.0)):
+            with pytest.raises(ValueError):
+                ts.chip_op(0, 0.0, flash_us, xfer_us)
+        with pytest.raises(ValueError):
+            ts.hash_op(0.0, -1.0)
+        assert ts.chips[0].op_count == ts.channels[0].op_count == 0
+        assert ts.hash_unit.op_count == 0
 
     def test_chip_op_serialises_transfer_then_array(self):
         ts = TimelineSet(num_chips=2, num_channels=1, chips_per_channel=2)

@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint check perf-smoke fleet-smoke serve-smoke kv-smoke bench figures \
-	replaybench replaybench-test
+.PHONY: test lint check perf-smoke fleet-smoke serve-smoke kv-smoke bench \
+	bench-gate figures replaybench replaybench-test
 
 test: lint check
 	$(PYTHON) -m pytest -q
@@ -60,6 +60,13 @@ kv-smoke:
 # plus the fleet section: long-lived shards, pool-mode comparison).
 bench:
 	$(PYTHON) benchmarks/perf/harness.py --out BENCH_matrix.json
+
+# The same digest and timing gate against the tracked report, run on a
+# temporary copy so BENCH_matrix.json itself is left as it is.
+bench-gate:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		cp BENCH_matrix.json "$$tmp/BENCH_matrix.json" && \
+		$(PYTHON) benchmarks/perf/harness.py --out "$$tmp/BENCH_matrix.json"
 
 # Replay benchmark (BENCHMARK.json): every workload at seed 1, untraced
 # end-to-end metrics and the traced per-layer ledger (replaybench/README.md).

@@ -56,18 +56,16 @@ class RunConfig:
         carrying one cannot fan out to worker processes.
     registry / tracer:
         Wired through :meth:`~repro.ftl.ftl.BaseFTL.attach_observability`.
-    reuse_prefill:
-        Precondition via the process prefill cache (bit-identical to a
-        direct prefill; the determinism tests enforce it).
     jobs:
         Worker processes for multi-cell entry points (``run_matrix``,
         ``EvaluationMatrix``); ignored by single-run ``run_system``.
         ``0`` means all cores.
     faults:
         A :class:`~repro.faults.FaultConfig`, or ``None`` for the perfect
-        device.  The fault model attaches *after* preconditioning, so the
-        prefill snapshot cache stays fault-free and a ``faults=None`` run
-        is digest-identical to one from a build without the fault layer.
+        device.  The fault model attaches *after* preconditioning (the
+        bulk preconditioning pass refuses a faulted drive), and a
+        ``faults=None`` run is digest-identical to one from a build
+        without the fault layer.
     check_interval:
         Events between full :class:`~repro.check.InvariantChecker` audits
         (``None`` disables checking entirely — the default; checking reads
@@ -93,7 +91,6 @@ class RunConfig:
     observer: Optional["TimeSeriesSampler"] = None
     registry: Optional["MetricRegistry"] = None
     tracer: Optional["Tracer"] = None
-    reuse_prefill: bool = True
     jobs: int = 1
     faults: Optional[FaultConfig] = None
     check_interval: Optional[int] = None

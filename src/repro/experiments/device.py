@@ -17,19 +17,18 @@ and must be called in order:
     Construct the named system (:func:`~repro.ftl.dvp_ftl.build_system`)
     on the device geometry — a bare, unpreconditioned FTL.
 ``precondition(profile)`` / ``precondition_pages(fingerprints)``
-    Bring the drive to steady state.  The profile form is the classic
-    whole-workload prefill (cache-aware: with ``reuse_prefill`` the FTL
-    may be *replaced* by a snapshot-restored sibling, which is
-    bit-identical to a direct prefill — the determinism tests enforce
-    it).  The pages form writes an explicit fingerprint per local page —
-    the fleet's shard content model, where local page ``i`` carries the
-    initial value of the *global* LBA the shard owns.
+    Bring the drive to steady state in one bulk
+    :meth:`~repro.ftl.ftl.BaseFTL.precondition` pass.  The profile form
+    is the classic whole-workload prefill.  The pages form writes an
+    explicit fingerprint per local page — the fleet's shard content
+    model, where local page ``i`` carries the initial value of the
+    *global* LBA the shard owns.
 ``attach(config)``
     Wire the optional layers exactly the way ``run_system`` always did:
     faults, then observability, then the invariant checker — all
-    post-precondition, so prefill snapshots stay fault- and checker-free
-    — and construct the timing device with the config's queue depth and
-    observer.
+    post-precondition, because the bulk pass refuses a drive with faults
+    or a checker attached — and construct the timing device with the
+    config's queue depth and observer.
 ``step(requests)``
     Service one batch of requests.  Batches compose: chunked stepping is
     observably identical to a single whole-trace step
@@ -47,10 +46,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..core.dvp import PoolStats
 from ..flash.config import SSDConfig
 from ..ftl.dvp_ftl import build_system
-from ..ftl.ftl import BaseFTL, FTLCounters
+from ..ftl.ftl import BaseFTL
 from ..sim.metrics import RunResult
 from ..sim.request import IORequest
 from ..sim.ssd import SimulatedSSD
@@ -83,27 +81,13 @@ class Device:
 
     # -- stage 2: precondition -----------------------------------------
 
-    def precondition(
-        self, profile: "WorkloadProfile", reuse_prefill: bool = True
-    ) -> "Device":
-        """Precondition for ``profile`` (the whole-workload content model).
-
-        With ``reuse_prefill`` the drive goes through the process prefill
-        cache — the restored FTL replaces the built one and is
-        bit-identical to a direct prefill.
-        """
+    def precondition(self, profile: "WorkloadProfile") -> "Device":
+        """Precondition for ``profile`` (the whole-workload content model)."""
         from .runner import prefill  # runtime: runner imports this module
 
-        if reuse_prefill:
-            from ..perf.snapshot import default_prefill_cache
-
-            self.ftl = default_prefill_cache().prefilled_system(
-                self.system, self.ssd_config, profile, self.pool_entries
-            )
-        else:
-            if self.ftl is None:
-                self.build()
-            prefill(self.ftl, profile)
+        if self.ftl is None:
+            self.build()
+        prefill(self.ftl, profile)
         return self
 
     def precondition_pages(
@@ -113,18 +97,13 @@ class Device:
 
         Local page ``i`` is written once with ``fingerprints[i]``; then
         counters and pool statistics reset, exactly like the profile
-        prefill's epilogue.  This is the fleet shard content model: the
+        prefill.  This is the fleet shard content model: the
         fingerprints are the initial values of the global LBAs the shard
         owns, so cold reads against the shard hit real flash pages.
         """
         if self.ftl is None:
             self.build()
-        ftl = self.ftl
-        for lpn, fingerprint in enumerate(fingerprints):
-            ftl.write(lpn, fingerprint)
-        ftl.counters = FTLCounters()
-        if ftl.pool is not None:
-            ftl.pool.stats = PoolStats()
+        self.ftl.precondition(fingerprints)
         return self
 
     # -- stage 3: attach -----------------------------------------------
@@ -148,9 +127,9 @@ class Device:
             )
         if config.checking:
             # Attached after preconditioning (like faults/observability) so
-            # prefill snapshots stay checker-free and the audited baseline
-            # is the preconditioned drive.  Checking never mutates FTL
-            # state, so the run's digest is identical with or without it.
+            # the audited baseline is the preconditioned drive.  Checking
+            # never mutates FTL state, so the run's digest is identical
+            # with or without it.
             from ..check import InvariantChecker, OracleFTL
 
             self.ftl.attach_checker(InvariantChecker(

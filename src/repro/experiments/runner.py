@@ -37,10 +37,9 @@ from typing import (
     Sequence,
 )
 
-from ..core.dvp import PoolStats
 from ..core.hashing import fingerprint_of_value
 from ..flash.config import SSDConfig, scaled_config
-from ..ftl.ftl import BaseFTL, FTLCounters
+from ..ftl.ftl import BaseFTL
 from ..sim.metrics import RunResult
 from ..sim.request import IORequest
 from ..traces.profiles import WorkloadProfile, profile_by_name
@@ -87,15 +86,15 @@ def config_for_profile(profile: WorkloadProfile) -> SSDConfig:
 def prefill(ftl: BaseFTL, profile: WorkloadProfile) -> int:
     """Precondition the drive: write every page's initial unique value.
 
-    Returns the number of pages written.  Counters and pool statistics are
-    reset afterwards so measurements cover only the trace window.
+    Returns the number of pages written.  One bulk
+    :meth:`~repro.ftl.ftl.BaseFTL.precondition` pass, which also resets
+    counters and pool statistics so measurements cover only the trace
+    window.
     """
     pages = profile.total_pages
-    for lpn in range(pages):
-        ftl.write(lpn, fingerprint_of_value(initial_value_of(lpn)))
-    ftl.counters = FTLCounters()
-    if ftl.pool is not None:
-        ftl.pool.stats = PoolStats()
+    ftl.precondition(
+        [fingerprint_of_value(initial_value_of(lpn)) for lpn in range(pages)]
+    )
     return pages
 
 
@@ -172,19 +171,13 @@ def run_system(
     traces always produce at least one record.  ``registry``/``tracer``
     are wired through :meth:`BaseFTL.attach_observability`, and
     ``config.faults`` attaches a fresh seeded
-    :class:`~repro.faults.FaultModel` — also post-precondition, so the
-    prefill snapshot cache stays fault-free.
-
-    With ``config.reuse_prefill`` (the default) preconditioning goes
-    through the process prefill cache: the first run of an FTL family
-    pays the per-page write loop, siblings restore the snapshot by copy.
-    The restored state is bit-identical to a direct prefill (the
-    determinism tests enforce this).
+    :class:`~repro.faults.FaultModel` — also post-precondition, because
+    the bulk preconditioning pass refuses a drive with faults attached.
     """
     cfg = _coerce_config("run_system", config)
     entries = scaled_pool_entries(cfg.paper_pool_entries, cfg.scale)
     device = Device(system, context.config, entries)
-    device.precondition(context.profile, reuse_prefill=cfg.reuse_prefill)
+    device.precondition(context.profile)
     device.attach(cfg)
     trace = context.trace
     if cfg.trim_every:

@@ -22,7 +22,13 @@ from .dvp_ftl import (
     make_lxssd,
     make_mq_dvp,
 )
-from .ftl import BaseFTL, FTLCounters, ReadOutcome, WriteOutcome
+from .ftl import (
+    BaseFTL,
+    FTLCounters,
+    PreconditionError,
+    ReadOutcome,
+    WriteOutcome,
+)
 from .gc import (
     GarbageCollector,
     GCWork,
@@ -41,6 +47,7 @@ __all__ = [
     "FTLCounters",
     "WriteOutcome",
     "ReadOutcome",
+    "PreconditionError",
     "MappingTable",
     "POPULARITY_MAX",
     "PageAllocator",

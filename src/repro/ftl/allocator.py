@@ -70,6 +70,27 @@ class PageAllocator:
         """Which plane the next host write will be striped to."""
         return self._next_plane
 
+    def lowest_free_blocks(self, pages: int) -> int:
+        """Fewest free blocks a plane holds right before one of the next
+        ``pages`` host allocations — what the GC probe ahead of each of
+        them would see, assuming nothing is erased meanwhile.
+
+        Lets a bulk fill prove up front that no probe would collect.
+        With ``pages`` 0 it is the next write's plane's free count.
+        """
+        planes = self._planes
+        pages_per_block = self.array.config.pages_per_block
+        lowest = len(self.free_blocks[self._next_plane])
+        for offset in range(min(pages, planes)):
+            plane = (self._next_plane + offset) % planes
+            count = (pages - offset + planes - 1) // planes
+            active = self._active[plane]
+            room = 0 if active is None else self.array.block(active).free_pages
+            # Blocks opened before the plane's last allocation of the run.
+            opened = max(0, -(-(count - 1 - room) // pages_per_block))
+            lowest = min(lowest, len(self.free_blocks[plane]) - opened)
+        return lowest
+
     def _open_block(self, plane: int, actives: List[Optional[int]]) -> int:
         if not self.free_blocks[plane]:
             raise OutOfSpaceError(f"plane {plane} has no free blocks")

@@ -15,7 +15,7 @@ at t4, which dedup alone cannot capture).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..core.dvp import DeadValuePool
 from ..core.hashing import Fingerprint
@@ -59,6 +59,12 @@ class DedupFTL(BaseFTL):
 
     def live_ppn_of(self, fp: Fingerprint) -> Optional[int]:
         return self._live_index.get(fp)
+
+    def precondition(self, fingerprints: Sequence[Fingerprint]) -> None:
+        """The base bulk pass, plus the live index each page's write
+        would have recorded (every value is new, so each is a miss)."""
+        super().precondition(fingerprints)
+        self._live_index.update((fp, ppn) for ppn, fp in self._ppn_fp.items())
 
     # ------------------------------------------------------------------
     # Write path: live store first, then (optionally) the dead-value pool

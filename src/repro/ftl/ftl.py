@@ -24,9 +24,9 @@ uses the LBA-recency pool with combined read+write popularity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..core.dvp import DeadValuePool
+from ..core.dvp import DeadValuePool, PoolStats
 from ..core.hashing import Fingerprint
 from ..flash.array import FlashArray
 from ..flash.config import SSDConfig
@@ -43,7 +43,18 @@ from .gc import (
 from .mapping import MappingTable, POPULARITY_MAX
 from .wear import WearTracker
 
-__all__ = ["FTLCounters", "WriteOutcome", "ReadOutcome", "BaseFTL"]
+__all__ = [
+    "FTLCounters",
+    "WriteOutcome",
+    "ReadOutcome",
+    "PreconditionError",
+    "BaseFTL",
+]
+
+
+class PreconditionError(ValueError):
+    """:meth:`BaseFTL.precondition` cannot leave the state a per-page
+    write loop would (the drive is not fresh, a fingerprint repeats, ...)."""
 
 
 @dataclass
@@ -280,10 +291,9 @@ class BaseFTL:
     def attach_faults(self, model: "FaultModel") -> "BaseFTL":
         """Arm fault injection on a live FTL.  Returns ``self``.
 
-        Called *after* prefill, so cached prefill snapshots stay
-        fault-free and shareable across fault and fault-free runs.  The
-        spare pool is sized per plane — ``spare_block_fraction`` of each
-        plane's blocks, at least one — because a spare can only absorb
+        Called *after* preconditioning, which refuses a faulted drive.
+        The spare pool is sized per plane — ``spare_block_fraction`` of
+        each plane's blocks, at least one — because a spare can only absorb
         retirements in its own plane (see
         :class:`~repro.ftl.allocator.BadBlockManager`).
         """
@@ -334,6 +344,58 @@ class BaseFTL:
         self.gc.checker = checker
         checker.on_attach(self)
         return self
+
+    # ------------------------------------------------------------------
+    # Preconditioning
+    # ------------------------------------------------------------------
+
+    def precondition(self, fingerprints: Sequence[Fingerprint]) -> None:
+        """Write local page ``i`` with ``fingerprints[i]`` on a fresh
+        drive in one bulk pass, then reset counters and pool statistics
+        so measurements cover only what follows.
+
+        Leaves the state a per-page :meth:`write` loop plus that reset
+        leaves — allocator placements, mapping columns, popularity bytes,
+        ``_ppn_fp``/``_write_popularity``/OOB entries in the same order,
+        ``write_clock`` — except that the pool is never consulted: every
+        lookup would miss, and the adaptive pool's window stays fresh.
+        Raises :class:`PreconditionError` wherever the loop would differ.
+        """
+        count = len(fingerprints)
+        if self.write_clock or self.mapping.mapped_lpn_count():
+            raise PreconditionError("drive is not fresh")
+        if (
+            self.faults is not None
+            or self.checker is not None
+            or self.read_only
+        ):
+            raise PreconditionError(
+                "a fault model, checker or read-only state is attached"
+            )
+        if count > self._logical_pages:
+            raise PreconditionError(
+                f"{count} fingerprints for {self._logical_pages} logical pages"
+            )
+        if len(set(fingerprints)) != count:
+            raise PreconditionError("a fingerprint repeats")
+        if self.allocator.lowest_free_blocks(count) < self.gc.low_watermark:
+            raise PreconditionError(
+                "a plane would drop below the GC low watermark"
+            )
+        allocate = self.allocator.allocate
+        ppns = [allocate() for _ in range(count)]
+        self.mapping.map_fresh(ppns, 1)
+        self._ppn_fp.update(zip(ppns, fingerprints))
+        seq = self._oob_seq
+        self._oob.update(
+            zip(ppns, zip(range(count), range(seq + 1, seq + count + 1)))
+        )
+        self._oob_seq = seq + count
+        self._write_popularity.update(dict.fromkeys(fingerprints, 1))
+        self.write_clock = count
+        self.counters = FTLCounters()
+        if self.pool is not None:
+            self.pool.stats = PoolStats()
 
     # ------------------------------------------------------------------
     # Host operations

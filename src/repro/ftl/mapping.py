@@ -27,7 +27,7 @@ doubling, so small tests and crash-recovery rebuilds can stay lazy.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 __all__ = ["MappingTable", "POPULARITY_MAX"]
 
@@ -107,6 +107,22 @@ class MappingTable:
         self._l2p[lpn] = ppn
         self._mapped += 1
         self._attach(lpn, ppn)
+
+    def map_fresh(self, ppns: Sequence[int], popularity: int) -> None:
+        """Map LPN ``i`` to ``ppns[i]`` with popularity byte ``popularity``
+        on an empty table whose columns already cover them — the columns
+        a ``map`` plus ``set_popularity`` per LPN would leave."""
+        count = len(ppns)
+        if self._mapped or count > len(self._l2p) or (
+            count and max(ppns) >= len(self._owner)
+        ):
+            raise ValueError("map_fresh needs an empty, presized table")
+        self._l2p[:count] = array("q", ppns)
+        self._pop[:count] = bytes((popularity,)) * count
+        owner = self._owner
+        for lpn, ppn in enumerate(ppns):
+            owner[ppn] = lpn
+        self._mapped = count
 
     def _attach(self, lpn: int, ppn: int) -> None:
         """Add ``lpn`` to ``ppn``'s reverse entry (forward already set)."""

@@ -1,8 +1,8 @@
 """``repro.lint``: an AST-based determinism & layering linter.
 
 The repo's core contract — bit-identical result digests across serial,
-parallel, cached-prefill, checked and recovery runs — is enforced at
-runtime by :mod:`repro.check`.  This package moves the most common ways
+parallel, checked and recovery runs — is enforced at runtime by
+:mod:`repro.check`.  This package moves the most common ways
 of *breaking* that contract to commit time: a pure-stdlib static
 analyzer whose rules encode repo-specific invariants that generic tools
 (ruff, mypy) cannot express.

@@ -1,16 +1,18 @@
 """repro.perf — parallel, cache-aware experiment engine.
 
-Three cooperating pieces turn the serial one-process evaluation matrix
-into a parallel one without changing a single result bit:
+Cooperating pieces turn the serial one-process evaluation matrix into
+a parallel one without changing a single result bit:
 
 - :mod:`.trace_cache` — content-keyed trace cache (profile hash →
   materialised trace, in-memory LRU + optional disk tier), so each
   workload's trace is generated once per matrix instead of once per cell.
-- :mod:`.snapshot` — prefill snapshot/restore: precondition once per
-  (FTL family, config, profile), then rehydrate sibling runs by copy.
 - :mod:`.spec` / :mod:`.parallel` — picklable :class:`RunSpec` cells and
   a ``ProcessPoolExecutor`` fan-out with ordered deterministic collection
   (``jobs=N`` is digest-identical to ``jobs=1``).
+
+Each cell preconditions its own drive in one bulk pass
+(:meth:`~repro.ftl.ftl.BaseFTL.precondition`); :mod:`.snapshot` holds
+only the serve layer's live mid-run checkpoint.
 
 :mod:`.bench` drives the tracked ``BENCH_matrix.json`` harness on top.
 
@@ -36,8 +38,6 @@ __all__ = [
     "profile_cache_key",
     "default_trace_cache",
     "cached_trace",
-    "PrefillCache",
-    "default_prefill_cache",
     "run_benchmark",
     "write_benchmark",
 ]
@@ -55,8 +55,6 @@ _EXPORTS = {
     "profile_cache_key": ".trace_cache",
     "default_trace_cache": ".trace_cache",
     "cached_trace": ".trace_cache",
-    "PrefillCache": ".snapshot",
-    "default_prefill_cache": ".snapshot",
     "run_benchmark": ".bench",
     "write_benchmark": ".bench",
 }
@@ -69,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         run_specs,
         run_specs_timed,
     )
-    from .snapshot import PrefillCache, default_prefill_cache
     from .spec import (
         RunSpec,
         execute_spec,

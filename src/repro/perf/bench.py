@@ -27,7 +27,6 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from .parallel import resolve_jobs, run_specs, run_specs_timed
-from .snapshot import default_prefill_cache
 from .spec import RunSpec, result_digest
 from .trace_cache import default_trace_cache
 
@@ -87,9 +86,8 @@ DEFAULT_KV_SCALE = 0.5
 
 
 def _clear_caches() -> None:
-    """Cold-start both process caches so timings include all setup."""
+    """Cold-start the trace cache so timings include all setup."""
     default_trace_cache().clear()
-    default_prefill_cache().clear()
 
 
 def _calibrate(repeats: int = 3) -> float:

@@ -6,21 +6,13 @@ worker finished first (``Executor.map`` preserves input order), and each
 cell is a pure function of its spec, so ``jobs=N`` is observably identical
 to ``jobs=1`` — the determinism tests compare digests across both paths.
 
-Workers are plain module-level functions (picklable by reference).  Two
-parent-side prewarms run before the pool spawns so workers never repeat
-shared setup:
-
-* traces for the distinct profiles are generated once into the trace
-  cache, and
-* prefill snapshots for the distinct (family, config, profile) triples
-  are captured once into the prefill cache —
-
-under the default ``fork`` start method on Linux the children inherit
-both warm caches copy-on-write and skip generation *and* the per-page
-prefill loop entirely.  (Under ``spawn`` each worker redoes the work —
-results are identical either way, it only costs time; this is why the
-first fan-out used to run *slower* than serial: every worker paid the
-prefill that the serial path amortised across cells.)
+Workers are plain module-level functions (picklable by reference).
+Before the pool spawns, the parent generates the trace of each distinct
+profile once into the trace cache; under the default ``fork`` start
+method on Linux the children inherit the warm cache copy-on-write and
+skip generation.  (Under ``spawn`` each worker redoes the work —
+results are identical either way, it only costs time.)  Each cell
+preconditions its own drive in one bulk pass.
 
 Cells are dispatched in contiguous chunks (one chunk per worker when the
 spec list divides evenly) rather than one task per cell: a worker runs
@@ -35,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 from ..sim.metrics import RunResult
-from .snapshot import default_prefill_cache
 from .spec import RunSpec, execute_spec, execute_spec_timed
 from .trace_cache import default_trace_cache
 
@@ -88,25 +79,6 @@ def _prewarm_traces(specs: Sequence[RunSpec]) -> None:
             cache.get(profile)
 
 
-def _prewarm_prefills(specs: Sequence[RunSpec]) -> None:
-    """Capture each distinct family prefill snapshot once in the parent.
-
-    Runs after :func:`_prewarm_traces` (contexts hit the warm trace
-    cache).  Forked workers inherit the snapshots and restore by copy
-    instead of each repeating the per-page prefill loop — the fix for
-    the parallel leg benchmarking *slower* than serial.
-    """
-    cache = default_prefill_cache()
-    for spec in specs:
-        context = spec.context()
-        cache.warm(
-            spec.system,
-            context.config,
-            context.profile,
-            spec.paper_pool_entries,
-        )
-
-
 def _run_spec_worker(spec: RunSpec) -> RunResult:
     return execute_spec(spec)
 
@@ -129,7 +101,6 @@ def run_specs(
     if jobs == 1 or len(specs) <= 1:
         return [execute_spec(spec) for spec in specs]
     _prewarm_traces(specs)
-    _prewarm_prefills(specs)
     workers = min(jobs, len(specs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(
@@ -150,7 +121,6 @@ def run_specs_timed(
     if jobs == 1 or len(specs) <= 1:
         return [execute_spec_timed(spec) for spec in specs]
     _prewarm_traces(specs)
-    _prewarm_prefills(specs)
     workers = min(jobs, len(specs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(

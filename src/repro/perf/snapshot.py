@@ -1,208 +1,26 @@
-"""Prefill snapshot/restore: precondition once per FTL family, reuse by copy.
+"""Live mid-run device state: checkpoint and restore by pickle.
 
-Every experiment run starts from a preconditioned drive — ``prefill``
-writes each exported logical page once with its unique initial value, which
-for short traces costs more simulator work than the trace replay itself.
-
-The post-prefill state is *identical* across studied systems that share an
-FTL class: prefill writes are all-unique values into an empty drive, so
-pool lookups all miss, nothing is invalidated, no garbage exists and no GC
-runs.  The pool stays empty and the pool/GC-policy differences between
-``baseline``/``mq-dvp``/``lru-dvp``/``ideal``/``lxssd`` (one family) or
-``dedup``/``dvp+dedup`` (the other — its live-value index is part of the
-state) cannot influence the outcome.  A pool-size sweep such as the
-Figure 5/9 cells trivially shares one family too.
-
-:class:`PrefillCache` exploits this: the first run of a (family, config,
-profile) triple prefills normally and pickles the content-independent
-state — flash array, allocator, mapping table, fingerprint and popularity
-indexes, write clock, plus the dedup live index when applicable.  Sibling
-runs build their own system (pool, GC policy and all) and rehydrate that
-snapshot by copy, skipping the per-page write loop entirely.  Restores are
-``pickle.loads`` of an immutable byte string, so runs can never leak state
-into each other — the basis of the bit-identical guarantee the
-determinism tests enforce.
+The serve layer checkpoints a device *mid-run* — FTL tables, timelines,
+latency samples, the global request index — such that a restored device
+finishes a trace digest-identical to one that was never interrupted.  A
+live checkpoint pickles the whole (ftl, ssd) object graph in one piece,
+so every cross-reference (gc→array, timelines, host queue heap,
+accumulated samples) survives by construction.  Restores are
+``pickle.loads`` of an immutable byte string, so a restored device can
+never share state with the one it was captured from.
 """
 
 from __future__ import annotations
 
 import pickle
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from ..core.dvp import PoolStats
-from ..flash.config import SSDConfig
-from ..ftl.dedup import DedupFTL
-from ..ftl.dvp_ftl import build_system
-from ..ftl.ftl import BaseFTL, FTLCounters
-from ..traces.profiles import WorkloadProfile
-from .trace_cache import profile_cache_key
+from ..ftl.ftl import BaseFTL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.ssd import SimulatedSSD
 
-__all__ = [
-    "PrefillCache",
-    "default_prefill_cache",
-    "capture_live_state",
-    "restore_live_state",
-]
-
-#: FTL attributes that fully determine the shared post-prefill state.
-#: ``array``/``allocator``/``mapping`` carry the drive; ``_ppn_fp`` and
-#: ``_write_popularity`` the content bookkeeping; ``write_clock`` the
-#: logical time prefill advanced to; ``_oob``/``_oob_seq``/``_oob_trims``
-#: the out-of-band journal crash recovery scans.
-_SHARED_ATTRS = (
-    "array",
-    "allocator",
-    "mapping",
-    "write_clock",
-    "_ppn_fp",
-    "_write_popularity",
-    "_oob",
-    "_oob_seq",
-    "_oob_trims",
-)
-
-#: Families eligible for snapshot sharing.  Exact classes only: a subclass
-#: may carry extra state this module does not know how to capture, so it
-#: silently falls back to a direct prefill.
-_FAMILIES = (BaseFTL, DedupFTL)
-
-
-def _capture(ftl: BaseFTL) -> bytes:
-    """Pickle the shareable post-prefill state of ``ftl``.
-
-    Cross-references (``allocator.array``) survive because everything is
-    pickled as one object graph.
-    """
-    state = {name: getattr(ftl, name) for name in _SHARED_ATTRS}
-    state["gc_invocations"] = ftl.gc.invocations
-    if isinstance(ftl, DedupFTL):
-        state["_live_index"] = ftl._live_index
-    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _restore(ftl: BaseFTL, snapshot: bytes) -> None:
-    """Graft a captured prefill state onto a freshly built system."""
-    state = pickle.loads(snapshot)
-    live_index = state.pop("_live_index", None)
-    ftl.gc.invocations = state.pop("gc_invocations")
-    for name, value in state.items():
-        setattr(ftl, name, value)
-    # The collector and wear tracker hold direct references to the array
-    # and allocator they were built with; point them at the grafted copies.
-    ftl.gc.array = ftl.array
-    ftl.gc.allocator = ftl.allocator
-    ftl.wear.array = ftl.array
-    if live_index is not None:
-        ftl._live_index = live_index
-    # Mirror prefill's epilogue: measurements cover only the trace window.
-    ftl.counters = FTLCounters()
-    if ftl.pool is not None:
-        ftl.pool.stats = PoolStats()
-
-
-class PrefillCache:
-    """Bounded LRU of prefill snapshots keyed by (family, config, profile)."""
-
-    def __init__(self, max_entries: int = 4):
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._snaps: "OrderedDict[Tuple[str, SSDConfig, str], bytes]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._snaps)
-
-    def clear(self) -> None:
-        self._snaps.clear()
-
-    def warm(
-        self,
-        system: str,
-        config: SSDConfig,
-        profile: WorkloadProfile,
-        pool_entries: int,
-    ) -> bool:
-        """Ensure the family snapshot for this cell exists, without
-        building a restored system.
-
-        The parallel engine calls this in the *parent* process before the
-        worker pool forks: children inherit the warm snapshot copy-on-
-        write, so no worker ever repeats the per-page prefill loop.
-        Returns ``False`` for systems outside the shareable families.
-        """
-        from ..experiments.runner import prefill  # runtime: avoids a cycle
-
-        ftl = build_system(system, config, pool_entries)
-        if type(ftl) not in _FAMILIES:
-            return False
-        key = (type(ftl).__name__, config, profile_cache_key(profile))
-        if key in self._snaps:
-            self._snaps.move_to_end(key)
-            return True
-        self.misses += 1
-        prefill(ftl, profile)
-        self._snaps[key] = _capture(ftl)
-        self._snaps.move_to_end(key)
-        while len(self._snaps) > self.max_entries:
-            self._snaps.popitem(last=False)
-        return True
-
-    def prefilled_system(
-        self,
-        system: str,
-        config: SSDConfig,
-        profile: WorkloadProfile,
-        pool_entries: int,
-    ) -> BaseFTL:
-        """Build ``system`` and precondition it for ``profile``.
-
-        The first call for a family prefills directly (and captures the
-        snapshot); subsequent calls restore by copy.  Either way the
-        returned FTL is indistinguishable from a freshly prefilled one.
-        """
-        from ..experiments.runner import prefill  # runtime: avoids a cycle
-
-        ftl = build_system(system, config, pool_entries)
-        if type(ftl) not in _FAMILIES:
-            prefill(ftl, profile)
-            return ftl
-        key = (type(ftl).__name__, config, profile_cache_key(profile))
-        snapshot = self._snaps.get(key)
-        if snapshot is None:
-            self.misses += 1
-            prefill(ftl, profile)
-            self._snaps[key] = _capture(ftl)
-            self._snaps.move_to_end(key)
-            while len(self._snaps) > self.max_entries:
-                self._snaps.popitem(last=False)
-        else:
-            self.hits += 1
-            self._snaps.move_to_end(key)
-            _restore(ftl, snapshot)
-        return ftl
-
-
-# -- live mid-run state ------------------------------------------------
-#
-# The prefill cache above shares the *post-precondition* state between
-# runs.  The serve layer needs something stronger: checkpointing a
-# device *mid-run* — FTL tables, timelines, latency samples, the global
-# request index — such that a restored device finishes a trace
-# digest-identical to one that was never interrupted.  Unlike the
-# prefill path (which grafts a curated attribute subset onto a freshly
-# built FTL), a live checkpoint pickles the whole (ftl, ssd) object
-# graph in one piece, so every cross-reference (gc→array, timelines,
-# host queue heap, accumulated samples) survives by construction.
-# Restores are ``pickle.loads`` of an immutable byte string, the same
-# no-leak guarantee the prefill cache gives.
+__all__ = ["capture_live_state", "restore_live_state"]
 
 #: Live-state blobs are version-tagged so a reader refuses a blob from
 #: an incompatible writer instead of grafting mismatched state.
@@ -248,14 +66,3 @@ def restore_live_state(blob: bytes) -> Tuple[BaseFTL, "SimulatedSSD"]:
     if ssd.ftl is not ftl:
         raise ValueError("corrupt live-state blob: ssd/ftl graph split")
     return ftl, ssd
-
-
-_default: Optional[PrefillCache] = None
-
-
-def default_prefill_cache() -> PrefillCache:
-    """The process-wide prefill cache used by ``run_system``."""
-    global _default
-    if _default is None:
-        _default = PrefillCache()
-    return _default

@@ -83,13 +83,12 @@ class RunSpec:
             trim_every=config.trim_every,
         )
 
-    def run_config(self, reuse_prefill: bool = True) -> RunConfig:
+    def run_config(self) -> RunConfig:
         """The :class:`RunConfig` equivalent of this spec."""
         return RunConfig(
             paper_pool_entries=self.paper_pool_entries,
             scale=self.scale,
             queue_depth=self.queue_depth,
-            reuse_prefill=reuse_prefill,
             faults=self.faults,
             check_interval=self.check_interval,
             oracle=self.oracle,
@@ -110,7 +109,7 @@ class RunSpec:
         )
 
 
-def execute_spec(spec: RunSpec, reuse_prefill: bool = True) -> RunResult:
+def execute_spec(spec: RunSpec) -> RunResult:
     """Run one cell.  Pure function of the spec — the determinism tests
     rely on ``execute_spec(s)`` matching ``run_system`` run by hand.
     A spec carrying a fault config builds a fresh seeded model for the
@@ -118,17 +117,15 @@ def execute_spec(spec: RunSpec, reuse_prefill: bool = True) -> RunResult:
     return run_system(
         spec.system,
         spec.context(),
-        config=spec.run_config(reuse_prefill=reuse_prefill),
+        config=spec.run_config(),
     )
 
 
-def execute_spec_timed(
-    spec: RunSpec, reuse_prefill: bool = True
-) -> Tuple[RunResult, float]:
-    """Run one cell and report its wall-clock seconds (cache costs
-    included — the first cell of a family pays generation/prefill)."""
+def execute_spec_timed(spec: RunSpec) -> Tuple[RunResult, float]:
+    """Run one cell and report its wall-clock seconds (preconditioning
+    included; trace generation only when the trace cache misses)."""
     start = time.perf_counter()
-    result = execute_spec(spec, reuse_prefill=reuse_prefill)
+    result = execute_spec(spec)
     return result, time.perf_counter() - start
 
 

@@ -43,6 +43,21 @@ __all__ = [
 #: are stored and returned as tuples (shared entries must be immutable).
 _KEY_VERSION = "repro-trace/v2"
 
+#: What reading a truncated or foreign entry can raise: the pickle
+#: module documents the last four besides ``UnpicklingError``;
+#: ``ValueError`` is an unsupported protocol and ``TypeError`` a pickle
+#: that does not hold a sequence.
+_UNREADABLE = (
+    OSError,
+    pickle.UnpicklingError,
+    ValueError,
+    TypeError,
+    AttributeError,
+    EOFError,
+    ImportError,
+    IndexError,
+)
+
 
 def profile_cache_key(profile: WorkloadProfile) -> str:
     """Stable content key of a workload profile.
@@ -129,8 +144,13 @@ class TraceCache:
         path = self._disk_path(key)
         if not os.path.exists(path):
             return None
-        with open(path, "rb") as f:
-            return tuple(pickle.load(f))
+        try:
+            with open(path, "rb") as f:
+                return tuple(pickle.load(f))
+        except _UNREADABLE:
+            # A torn or foreign entry is a miss: the caller regenerates
+            # and ``_store_disk`` atomically replaces the file.
+            return None
 
     def _store_disk(self, key: str, trace: Tuple[IORequest, ...]) -> None:
         if self.disk_dir is None:

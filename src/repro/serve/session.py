@@ -7,8 +7,8 @@ trace run in batch:
 * ``shards == 1`` mirrors :func:`~repro.experiments.runner.run_system`
   construction exactly — same profile scaling, same
   :func:`~repro.experiments.runner.config_for_profile` drive, same
-  scaled pool entries, preconditioned through the same prefill cache,
-  finalized under the same workload label — so the session's final
+  scaled pool entries, the same bulk preconditioning pass, finalized
+  under the same workload label — so the session's final
   :func:`~repro.perf.spec.result_digest` equals the batch digest.
 * ``shards > 1`` builds each shard through the fleet layer's own
   :func:`~repro.fleet.fleet.build_shard_device` and routes requests over
@@ -227,7 +227,7 @@ class TenantSession:
         config = self.config
         if config.shards == 1:
             # Mirror run_system: same drive geometry, same scaled pool,
-            # same prefill-cache preconditioning, same attach config.
+            # same preconditioning, same attach config.
             entries = scaled_pool_entries(
                 config.paper_pool_entries, config.scale
             )

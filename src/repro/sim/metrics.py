@@ -44,8 +44,8 @@ class LatencyStats:
         """The recorded samples in arrival order (read-only copy).
 
         The exact sequence — not just the summary statistics — is what the
-        perf harness digests to prove serial, parallel and cached-prefill
-        runs produced bit-identical results.
+        perf harness digests to prove serial and parallel runs produced
+        bit-identical results.
         """
         return list(self._samples)
 

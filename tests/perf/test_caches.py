@@ -1,16 +1,9 @@
-"""Unit tests for the trace cache and the prefill snapshot cache."""
+"""Unit tests for the trace cache."""
 
-from dataclasses import replace
+import os
 
 import pytest
 
-from repro.experiments.runner import (
-    config_for_profile,
-    prefill,
-    scaled_pool_entries,
-)
-from repro.ftl.dvp_ftl import build_system
-from repro.perf.snapshot import PrefillCache
 from repro.perf.trace_cache import TraceCache, profile_cache_key
 from repro.traces.synthetic import generate_trace
 
@@ -67,75 +60,36 @@ class TestTraceCache:
         assert first == second
         assert cache.hits == 1  # served from disk, not regenerated
 
+    def _damaged_entry(self, tmp_path, damage):
+        """A disk entry for ``make_profile()``, rewritten by ``damage``."""
+        profile = make_profile()
+        TraceCache(disk_dir=str(tmp_path)).get(profile)
+        (path,) = tmp_path.glob("*.trace.pkl")
+        path.write_bytes(damage(path.read_bytes()))
+        return profile, path
+
+    def _assert_regenerated(self, tmp_path, profile, path):
+        cache = TraceCache(disk_dir=str(tmp_path))
+        assert cache.get(profile) == tuple(generate_trace(profile))
+        assert (cache.hits, cache.misses) == (0, 1)
+        # The entry was replaced atomically: a fresh process hits it.
+        again = TraceCache(disk_dir=str(tmp_path))
+        assert again.get(profile) == tuple(generate_trace(profile))
+        assert again.hits == 1
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_truncated_disk_entry_is_a_miss(self, tmp_path):
+        profile, path = self._damaged_entry(
+            tmp_path, lambda data: data[: len(data) // 2]
+        )
+        self._assert_regenerated(tmp_path, profile, path)
+
+    def test_non_pickle_disk_entry_is_a_miss(self, tmp_path):
+        profile, path = self._damaged_entry(
+            tmp_path, lambda data: b"not a pickle\n" * 8
+        )
+        self._assert_regenerated(tmp_path, profile, path)
+
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             TraceCache(max_entries=0)
-
-
-def _prefilled_directly(system, profile):
-    config = config_for_profile(profile)
-    ftl = build_system(system, config, scaled_pool_entries(200_000, 0.02))
-    prefill(ftl, profile)
-    return ftl
-
-
-class TestPrefillCache:
-    PROFILE = make_profile(working_set_pages=300, num_requests=1000)
-
-    def _system(self, cache, system):
-        return cache.prefilled_system(
-            system,
-            config_for_profile(self.PROFILE),
-            self.PROFILE,
-            scaled_pool_entries(200_000, 0.02),
-        )
-
-    def test_family_sharing_hits(self):
-        cache = PrefillCache()
-        self._system(cache, "baseline")
-        self._system(cache, "mq-dvp")   # same BaseFTL family -> restore
-        self._system(cache, "lru-dvp")
-        assert (cache.hits, cache.misses) == (2, 1)
-
-    def test_dedup_is_a_separate_family(self):
-        cache = PrefillCache()
-        self._system(cache, "baseline")
-        self._system(cache, "dedup")
-        assert cache.misses == 2
-        self._system(cache, "dvp+dedup")
-        assert cache.hits == 1
-
-    def test_restored_state_matches_direct_prefill(self):
-        cache = PrefillCache()
-        self._system(cache, "baseline")          # seeds the snapshot
-        restored = self._system(cache, "mq-dvp")  # restore path
-        direct = _prefilled_directly("mq-dvp", self.PROFILE)
-        assert restored.mapping.forward_items() == direct.mapping.forward_items()
-        assert restored.mapping._pop == direct.mapping._pop
-        assert restored.write_clock == direct.write_clock
-        assert restored.counters == direct.counters
-        restored.check_invariants()
-
-    def test_restored_systems_do_not_share_state(self):
-        cache = PrefillCache()
-        self._system(cache, "baseline")
-        a = self._system(cache, "mq-dvp")
-        b = self._system(cache, "mq-dvp")
-        assert a.mapping is not b.mapping
-        assert a.array is not b.array
-
-    def test_gc_rebound_to_restored_array(self):
-        cache = PrefillCache()
-        self._system(cache, "baseline")
-        restored = self._system(cache, "baseline")
-        assert restored.gc.array is restored.array
-        assert restored.gc.allocator is restored.allocator
-        assert restored.wear.array is restored.array
-
-    def test_lru_eviction_bound(self):
-        cache = PrefillCache(max_entries=1)
-        self._system(cache, "baseline")
-        self._system(cache, "dedup")     # evicts the BaseFTL snapshot
-        assert len(cache) == 1
-        self._system(cache, "baseline")  # must re-prefill
-        assert cache.misses == 3

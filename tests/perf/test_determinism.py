@@ -1,9 +1,13 @@
-"""Determinism: serial, parallel and cached-prefill paths are bit-identical.
+"""Determinism: serial and parallel paths are bit-identical.
 
 These are the guarantees the whole perf layer rests on (ISSUE 2): same
 profile + seed yields identical traces, and a matrix run yields digest-
 identical :class:`RunResult`s no matter which execution path produced it.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +24,7 @@ from repro.perf.trace_cache import TraceCache
 from repro.traces.synthetic import generate_trace
 
 from ..conftest import make_profile
+from .test_hashseed_determinism import SRC_DIR
 
 # Tiny but non-degenerate: two workload shapes, three systems covering
 # both FTL families.  web/trans keep total_pages small (cold_region_factor
@@ -27,6 +32,12 @@ from ..conftest import make_profile
 SCALE = 0.004
 WORKLOADS = ("web", "trans")
 SYSTEMS = ("baseline", "mq-dvp", "dedup")
+
+FRESH_ADAPTIVE_DIGEST = (
+    "from repro.perf.spec import RunSpec, execute_spec, result_digest\n"
+    "print(result_digest(execute_spec("
+    "RunSpec('mail', 'adaptive-dvp', scale=0.05))))\n"
+)
 
 
 def _matrix_digests(results):
@@ -63,18 +74,29 @@ class TestRunDeterminism:
             execute_spec(spec)
         )
 
-    def test_prefill_cache_does_not_change_results(self):
-        spec = RunSpec("web", "mq-dvp", scale=SCALE)
-        cold = run_system(
-            "mq-dvp",
-            ExperimentContext.for_workload("web", SCALE),
-            RunConfig(scale=SCALE, reuse_prefill=False),
+    def test_adaptive_run_matches_fresh_interpreter(self):
+        """An ``adaptive-dvp`` cell gives one digest however the process
+        got there: first, right after a sibling cell of the same family,
+        or alone in a new interpreter.  Preconditioning never ticks the
+        adaptive pool's window, so no earlier work can shift it."""
+        spec = RunSpec("mail", "adaptive-dvp", scale=0.05)
+        first = result_digest(execute_spec(spec))
+        execute_spec(RunSpec("mail", "baseline", scale=0.05))
+        second = result_digest(execute_spec(spec))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
         )
-        # Prime the family snapshot via baseline, then run the real cell
-        # through the restore path.
-        execute_spec(RunSpec("web", "baseline", scale=SCALE))
-        warm = execute_spec(spec)
-        assert result_digest(cold) == result_digest(warm)
+        env.pop("REPRO_TRACE_CACHE", None)
+        fresh = subprocess.run(
+            [sys.executable, "-c", FRESH_ADAPTIVE_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        ).stdout.strip()
+        assert first == second == fresh
 
     def test_seed_override_changes_results(self):
         base = execute_spec(RunSpec("web", "baseline", scale=SCALE))

@@ -40,7 +40,7 @@ class TestStageOrdering:
         device = (
             Device("baseline", context.config, 64)
             .build()
-            .precondition(context.profile, reuse_prefill=False)
+            .precondition(context.profile)
         )
         device.attach(RunConfig(scale=SCALE))
         assert device.step(context.trace) == len(context.trace)

@@ -38,7 +38,6 @@ class TestRunConfig:
         assert cfg.paper_pool_entries == 200_000
         assert cfg.jobs == 1
         assert cfg.faults is None
-        assert cfg.reuse_prefill
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,7 @@ from ..experiments.runner import ExperimentContext, scaled_pool_entries
 from ..flash.config import scaled_config
 from ..perf.parallel import pool_chunksize, resolve_jobs
 from ..sim.metrics import RunResult
+from ..sim.request import IORequest
 from ..traces.synthetic import initial_value_of
 from .aggregate import FleetResult, PoolModeComparison, aggregate_fleet
 from .ring import HashRing
@@ -204,7 +205,10 @@ def execute_shard(spec: ShardSpec) -> RunResult:
     for request in context.trace:
         if owners[request.lpn] != spec.index:
             continue
-        chunk.append(replace(request, lpn=local_of[request.lpn]))
+        chunk.append(IORequest(
+            request.arrival_us, request.op, local_of[request.lpn],
+            request.value_id,
+        ))
         if len(chunk) >= fleet.chunk_requests:
             device.step(chunk)
             chunk = []

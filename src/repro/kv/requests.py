@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-__all__ = ["KVOp", "KVRequest", "Key", "key_to_int", "mix64"]
+__all__ = ["KVOp", "KVRequest", "Key", "check_key", "key_to_int", "mix64"]
 
 #: A KV key: integers (orderable, scannable) or strings (hashed).
 Key = Union[int, str]
@@ -42,20 +42,31 @@ def mix64(x: int) -> int:
     return x
 
 
+def check_key(key: Key) -> None:
+    """Reject anything but a non-negative int or a str as a key.
+
+    ``bool`` is refused although it is an ``int``: as a dict key ``True``
+    *is* ``1``, so it would silently alias key ``1``'s value.
+    """
+    if isinstance(key, bool) or not isinstance(key, (int, str)):
+        raise TypeError(f"keys are int or str, not {type(key).__name__}")
+    if isinstance(key, int) and key < 0:
+        raise ValueError("integer keys must be non-negative")
+
+
 def key_to_int(key: Key) -> int:
     """A deterministic 64-bit integer identity for a key.
 
     Integer keys map through :func:`mix64`; string keys through SHA-256
     (never ``hash()``, which is per-process randomised for strings).
+    Invalid keys raise as :func:`check_key` does.
     """
-    if isinstance(key, bool) or not isinstance(key, (int, str)):
-        raise TypeError(f"keys are int or str, not {type(key).__name__}")
-    if isinstance(key, int):
-        if key < 0:
-            raise ValueError("integer keys must be non-negative")
-        return mix64(key)
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    if type(key) is not int or key < 0:
+        check_key(key)
+        if isinstance(key, str):
+            digest = hashlib.sha256(key.encode("utf-8")).digest()
+            return int.from_bytes(digest[:8], "big")
+    return mix64(key)
 
 
 class KVOp(Enum):
@@ -63,6 +74,11 @@ class KVOp(Enum):
     PUT = "P"
     DELETE = "D"
     SCAN = "S"
+
+
+# Enum members bound once: ``KVOp.PUT`` is a class attribute lookup that
+# costs several times a global read, on a check that runs per request.
+_PUT, _SCAN = KVOp.PUT, KVOp.SCAN
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +102,7 @@ class KVRequest:
     def __post_init__(self) -> None:
         if self.arrival_us < 0:
             raise ValueError("arrival_us must be non-negative")
-        if self.op is KVOp.PUT and self.value_bytes <= 0:
+        if self.op is _PUT and self.value_bytes <= 0:
             raise ValueError("PUT requires value_bytes > 0")
-        if self.op is KVOp.SCAN and self.scan_length <= 0:
+        if self.op is _SCAN and self.scan_length <= 0:
             raise ValueError("SCAN requires scan_length > 0")

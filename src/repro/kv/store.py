@@ -16,14 +16,21 @@
 * DELETE issues TRIMs for every page the key owned (the keyed workloads'
   TRIM-heavy profile rides on this) and frees the LPNs for reuse.
 
+Keys are validated once per PUT/GET/DELETE, whatever the value size:
+non-negative ``int`` or ``str`` only (:func:`~repro.kv.requests.check_key`).
+
 The store is the *translation* layer only: it owns a logical address
 allocator (smallest-free-first, deterministic) but never touches an FTL.
 :func:`KVStore.translate` converts a lazy stream of KV requests into a
 lazy stream of page requests, so billion-op keyed workloads stream
 through without materialising either side — the same contract as the
-trace transforms.  Feeding that stream to a
-:class:`~repro.experiments.device.Device` happens in
-:mod:`repro.kv.scenario`.
+trace transforms.  It services each op in one frame: the op's internal
+handler returns the op's page requests as a list, each
+:class:`~repro.sim.request.IORequest` built once, positionally, and
+``translate`` yields them.  The public ``put``/``get``/``delete``/
+``scan``/``flush`` generators wrap the same handlers and stay lazy.
+Feeding that stream to a :class:`~repro.experiments.device.Device`
+happens in :mod:`repro.kv.scenario`.
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim.request import IORequest, OpType
 from .inline import FlashAction, InlinePacker, InlineSlot
-from .requests import Key, KVOp, KVRequest, key_to_int, mix64
+from .requests import Key, KVOp, KVRequest, check_key, key_to_int, mix64
 
 __all__ = ["KVStats", "KVStore", "page_value_id"]
+
+_READ, _WRITE, _TRIM = OpType.READ, OpType.WRITE, OpType.TRIM
 
 
 def page_value_id(content_id: int, page_index: int) -> int:
@@ -72,12 +81,6 @@ class KVStats:
         }
 
 
-@dataclass(slots=True)
-class _Extent:
-    lpns: Tuple[int, ...]
-    content_id: int
-
-
 class KVStore:
     """One tenant's key→LPN translation state."""
 
@@ -98,7 +101,8 @@ class KVStore:
         self.inline_threshold = inline_threshold
         self.max_pages = max_pages
         self.stats = KVStats()
-        self._extents: Dict[Key, _Extent] = {}
+        #: key -> the LPNs of its extent, page order.
+        self._extents: Dict[Key, Tuple[int, ...]] = {}
         self._free: List[int] = []
         self._next_lpn = 0
         self._packer = InlinePacker(
@@ -156,69 +160,13 @@ class KVStore:
         self, key: Key, value_bytes: int, content_id: int, arrival_us: float
     ) -> Iterator[IORequest]:
         """(Over)write ``key``; yields this op's page requests."""
-        if value_bytes <= 0:
-            raise ValueError("value_bytes must be positive")
-        self.stats.puts += 1
-        actions: List[FlashAction] = []
-        inline_new = value_bytes < self.inline_threshold
-        old = self._extents.pop(key, None)
-        existed = old is not None
-        if old is not None and inline_new:
-            # extent → inline: the whole old extent is discarded.
-            for lpn in old.lpns:
-                actions.append(("trim", lpn, 0))
-                self._release(lpn)
-            old = None
-        if not existed and key in self._packer:
-            existed = True
-            actions.extend(self._packer.kill(key))
-        if not existed:
-            self.stats.inserts += 1
-        if inline_new:
-            actions.extend(self._packer.add(key, InlineSlot(
-                key_int=key_to_int(key),
-                content_id=content_id,
-                size=value_bytes,
-            )))
-        else:
-            pages = -(-value_bytes // self.page_bytes)
-            reuse = old.lpns[:pages] if old is not None else ()
-            if old is not None:
-                for lpn in old.lpns[pages:]:    # value shrank
-                    actions.append(("trim", lpn, 0))
-                    self._release(lpn)
-            lpns = tuple(reuse) + tuple(
-                self._alloc() for _ in range(pages - len(reuse))
-            )
-            self._extents[key] = _Extent(lpns=lpns, content_id=content_id)
-            actions.extend(
-                ("write", lpn, page_value_id(content_id, index))
-                for index, lpn in enumerate(lpns)
-            )
-        yield from self._emit(arrival_us, actions)
+        yield from self._put(key, value_bytes, content_id, arrival_us)
 
     def get(self, key: Key, arrival_us: float) -> Iterator[IORequest]:
-        self.stats.gets += 1
-        actions = self._read_actions(key)
-        if actions is None:
-            self.stats.get_misses += 1
-            return
-        yield from self._emit(arrival_us, actions)
+        yield from self._get(key, arrival_us)
 
     def delete(self, key: Key, arrival_us: float) -> Iterator[IORequest]:
-        self.stats.deletes += 1
-        extent = self._extents.pop(key, None)
-        if extent is not None:
-            actions: List[FlashAction] = []
-            for lpn in extent.lpns:
-                actions.append(("trim", lpn, 0))
-                self._release(lpn)
-            yield from self._emit(arrival_us, actions)
-            return
-        if key in self._packer:
-            yield from self._emit(arrival_us, self._packer.kill(key))
-            return
-        self.stats.delete_misses += 1
+        yield from self._delete(key, arrival_us)
 
     def scan(
         self, start_key: int, length: int, arrival_us: float
@@ -226,20 +174,13 @@ class KVStore:
         """Read up to ``length`` consecutive integer keys from
         ``start_key`` (missing keys are skipped, like an iterator over a
         sorted store)."""
-        if not isinstance(start_key, int) or isinstance(start_key, bool):
-            raise TypeError("scans require integer keys")
-        if length <= 0:
-            raise ValueError("scan length must be positive")
-        self.stats.scans += 1
-        for key in range(start_key, start_key + length):
-            actions = self._read_actions(key)
-            if actions is not None:
-                self.stats.scanned_keys += 1
-                yield from self._emit(arrival_us, actions)
+        yield from self._scan(start_key, length, arrival_us)
 
     def flush(self, arrival_us: float) -> Iterator[IORequest]:
         """Seal a partially filled pack buffer (load-phase epilogue)."""
-        yield from self._emit(arrival_us, self._packer.flush())
+        requests: List[IORequest] = []
+        self._emit(self._packer.flush(), arrival_us, requests)
+        yield from requests
 
     # -- the streaming translator --------------------------------------
 
@@ -247,50 +188,162 @@ class KVStore:
         self, stream: Iterable[KVRequest]
     ) -> Iterator[IORequest]:
         """Lazily translate a KV request stream into page requests."""
+        put, get = self._put, self._get
+        delete, scan = self._delete, self._scan
+        PUT, GET, DELETE = KVOp.PUT, KVOp.GET, KVOp.DELETE
         for request in stream:
-            if request.op is KVOp.PUT:
-                yield from self.put(
+            op = request.op
+            if op is PUT:
+                yield from put(
                     request.key, request.value_bytes,
                     request.content_id, request.arrival_us,
                 )
-            elif request.op is KVOp.GET:
-                yield from self.get(request.key, request.arrival_us)
-            elif request.op is KVOp.DELETE:
-                yield from self.delete(request.key, request.arrival_us)
+            elif op is GET:
+                yield from get(request.key, request.arrival_us)
+            elif op is DELETE:
+                yield from delete(request.key, request.arrival_us)
             else:
-                yield from self.scan(
+                yield from scan(
                     request.key, request.scan_length, request.arrival_us,
                 )
 
+    # -- one op each: its page requests, in order ----------------------
+
+    def _put(
+        self, key: Key, value_bytes: int, content_id: int, arrival_us: float
+    ) -> List[IORequest]:
+        if value_bytes <= 0:
+            raise ValueError("value_bytes must be positive")
+        if type(key) is not int or key < 0:
+            check_key(key)
+        stats = self.stats
+        stats.puts += 1
+        requests: List[IORequest] = []
+        packer = self._packer
+        old = self._extents.pop(key, None)
+        if old is None:
+            actions = packer.kill(key)
+            if actions is None:
+                stats.inserts += 1
+            elif actions:
+                self._emit(actions, arrival_us, requests)
+        if value_bytes < self.inline_threshold:
+            if old is not None:
+                # extent → inline: the whole old extent is discarded.
+                self._trim(old, arrival_us, requests)
+            actions = packer.add(
+                key, InlineSlot(key_to_int(key), content_id, value_bytes)
+            )
+            if actions:
+                self._emit(actions, arrival_us, requests)
+            return requests
+        pages = -(-value_bytes // self.page_bytes)
+        if old is None:
+            lpns: Tuple[int, ...] = ()
+        elif len(old) > pages:              # value shrank
+            self._trim(old[pages:], arrival_us, requests)
+            lpns = old[:pages]
+        else:
+            lpns = old
+        if len(lpns) < pages:
+            alloc = self._alloc
+            lpns += tuple([alloc() for _ in range(pages - len(lpns))])
+        self._extents[key] = lpns
+        stats.flash_writes += pages
+        requests += [
+            IORequest(arrival_us, _WRITE, lpn,
+                      page_value_id(content_id, index))
+            for index, lpn in enumerate(lpns)
+        ]
+        return requests
+
+    def _get(self, key: Key, arrival_us: float) -> List[IORequest]:
+        if type(key) is not int or key < 0:
+            check_key(key)
+        self.stats.gets += 1
+        reads = self._read(key, arrival_us)
+        if reads is None:
+            self.stats.get_misses += 1
+            return []
+        return reads
+
+    def _delete(self, key: Key, arrival_us: float) -> List[IORequest]:
+        if type(key) is not int or key < 0:
+            check_key(key)
+        self.stats.deletes += 1
+        requests: List[IORequest] = []
+        lpns = self._extents.pop(key, None)
+        if lpns is not None:
+            self._trim(lpns, arrival_us, requests)
+            return requests
+        actions = self._packer.kill(key)
+        if actions is None:
+            self.stats.delete_misses += 1
+        elif actions:
+            self._emit(actions, arrival_us, requests)
+        return requests
+
+    def _scan(
+        self, start_key: int, length: int, arrival_us: float
+    ) -> List[IORequest]:
+        if not isinstance(start_key, int) or isinstance(start_key, bool):
+            raise TypeError("scans require integer keys")
+        if length <= 0:
+            raise ValueError("scan length must be positive")
+        self.stats.scans += 1
+        requests: List[IORequest] = []
+        for key in range(start_key, start_key + length):
+            reads = self._read(key, arrival_us)
+            if reads is not None:
+                self.stats.scanned_keys += 1
+                requests += reads
+        return requests
+
     # -- internals -----------------------------------------------------
 
-    def _read_actions(self, key: Key) -> Optional[List[FlashAction]]:
+    def _read(self, key: Key, arrival_us: float) -> Optional[List[IORequest]]:
         """Flash reads serving ``key``, ``[]`` for a RAM buffer hit,
         ``None`` for a missing key."""
-        extent = self._extents.get(key)
-        if extent is not None:
-            return [("read", lpn, 0) for lpn in extent.lpns]
-        if key in self._packer:
-            lpn = self._packer.lpn_of(key)
-            if lpn is None:
-                self.stats.buffer_hits += 1
-                return []
-            return [("read", lpn, 0)]
+        lpns = self._extents.get(key)
+        if lpns is not None:
+            self.stats.flash_reads += len(lpns)
+            return [IORequest(arrival_us, _READ, lpn, 0) for lpn in lpns]
+        packer = self._packer
+        lpn = packer.lpn_of(key)
+        if lpn is not None:
+            self.stats.flash_reads += 1
+            return [IORequest(arrival_us, _READ, lpn, 0)]
+        if key in packer:
+            self.stats.buffer_hits += 1
+            return []
         return None
 
+    def _trim(
+        self, lpns: Tuple[int, ...], arrival_us: float,
+        requests: List[IORequest],
+    ) -> None:
+        """Discard ``lpns``: one TRIM each, and the LPNs go back to the
+        allocator in the same order."""
+        release = self._release
+        for lpn in lpns:
+            requests.append(IORequest(arrival_us, _TRIM, lpn, 0))
+            release(lpn)
+        self.stats.flash_trims += len(lpns)
+
     def _emit(
-        self, arrival_us: float, actions: List[FlashAction]
-    ) -> Iterator[IORequest]:
+        self, actions: List[FlashAction], arrival_us: float,
+        requests: List[IORequest],
+    ) -> None:
+        """Append the packer's flash actions to ``requests``."""
+        stats = self.stats
         for kind, lpn, value_id in actions:
             if kind == "write":
-                self.stats.flash_writes += 1
-                op = OpType.WRITE
+                stats.flash_writes += 1
+                op = _WRITE
             elif kind == "read":
-                self.stats.flash_reads += 1
-                op = OpType.READ
+                stats.flash_reads += 1
+                op = _READ
             else:
-                self.stats.flash_trims += 1
-                op = OpType.TRIM
-            yield IORequest(
-                arrival_us=arrival_us, op=op, lpn=lpn, value_id=value_id,
-            )
+                stats.flash_trims += 1
+                op = _TRIM
+            requests.append(IORequest(arrival_us, op, lpn, value_id))

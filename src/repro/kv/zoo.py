@@ -38,7 +38,9 @@ the transaction phase.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -97,6 +99,12 @@ class KVWorkload:
             raise ValueError("value_sizes/value_size_weights length mismatch")
         if min(self.value_sizes) <= 0:
             raise ValueError("value sizes must be positive")
+        if (min(self.value_size_weights) < 0
+                or not 0.0 < sum(self.value_size_weights) < math.inf):
+            raise ValueError(
+                "value_size_weights must be non-negative with a positive "
+                "finite sum"
+            )
         if not 0.0 <= self.new_content_prob <= 1.0:
             raise ValueError("new_content_prob must be in [0, 1]")
         if self.tenants < 1:
@@ -156,71 +164,58 @@ def _rng(workload: KVWorkload, tenant: int, phase: int) -> random.Random:
     ))
 
 
-def _draw_size(workload: KVWorkload, rng: random.Random) -> int:
-    return rng.choices(
-        workload.value_sizes, weights=workload.value_size_weights,
-    )[0]
+def _size_table(
+    workload: KVWorkload,
+) -> Tuple[Tuple[int, ...], List[float], float, int]:
+    """``rng.choices(value_sizes, weights=value_size_weights)``, hoisted.
 
-
-class _ContentModel:
-    """Growing content universe with zipfian redraw locality.
-
-    The initial load gives key ``k`` unique content ``k``; transaction
-    PUTs then either mint fresh content (``new_content_prob``) or redraw
-    an existing one with creation-rank zipf skew — the same shape the
-    block generator uses, expressed over KV values.
+    Returns ``(sizes, cumulative, total, hi)``; a draw is then
+    ``sizes[bisect(cumulative, rng.random() * total, 0, hi)]``, the very
+    ``random()`` call and ``bisect`` that ``choices`` makes, so the sizes
+    drawn are the same, without rebuilding the cumulative weights per draw.
     """
-
-    __slots__ = ("created", "new_prob", "s")
-
-    def __init__(self, created: int, new_prob: float, s: float):
-        self.created = created
-        self.new_prob = new_prob
-        self.s = s
-
-    def draw(self, rng: random.Random) -> int:
-        if self.created == 0 or rng.random() < self.new_prob:
-            content_id = self.created
-            self.created += 1
-            return content_id
-        return zipf_rank(rng, self.created, self.s) - 1
+    cumulative = list(itertools.accumulate(workload.value_size_weights))
+    return (
+        workload.value_sizes, cumulative, cumulative[-1] + 0.0,
+        len(cumulative) - 1,
+    )
 
 
 def _tenant_load(workload: KVWorkload, tenant: int) -> Iterator[KVRequest]:
     """Insert keys ``0..num_keys-1``, each with its own unique content."""
-    rng = _rng(workload, tenant, phase=0)
+    random_ = _rng(workload, tenant, phase=0).random
+    sizes, cumulative, total, hi = _size_table(workload)
+    put = KVOp.PUT
     clock = 0.0
     for key in range(workload.num_keys):
-        yield KVRequest(
-            arrival_us=clock,
-            op=KVOp.PUT,
-            key=key,
-            value_bytes=_draw_size(workload, rng),
-            content_id=key,
-        )
+        size = sizes[bisect.bisect(cumulative, random_() * total, 0, hi)]
+        yield KVRequest(clock, put, key, size, key)
         clock += workload.mean_interarrival_us
-
-
-def _pick_index(
-    rng: random.Random, count: int, s: float, latest: bool
-) -> int:
-    """A zipfian index into a live-key list: rank 1 is the oldest key
-    (stable hot set), or the newest when ``latest``."""
-    rank = zipf_rank(rng, count, s)
-    return count - rank if latest else rank - 1
 
 
 def _tenant_txns(workload: KVWorkload, tenant: int) -> Iterator[KVRequest]:
     rng = _rng(workload, tenant, phase=1)
-    content = _ContentModel(
-        created=workload.num_keys,
-        new_prob=workload.new_content_prob,
-        s=workload.content_zipf_s,
-    )
+    random_ = rng.random
+    sizes, cumulative, total, hi = _size_table(workload)
+    get, put, delete, scan = KVOp.GET, KVOp.PUT, KVOp.DELETE, KVOp.SCAN
+    # Key popularity: a zipfian index into the live-key list, rank 1 the
+    # oldest key (stable hot set) or, with ``favor_latest``, the newest.
+    key_s = workload.key_zipf_s
+    latest = workload.favor_latest
     live: List[int] = list(range(workload.num_keys))
     next_key = workload.num_keys
+    # Content model: the load gave key ``k`` unique content ``k``; a PUT
+    # then mints fresh content (``new_content_prob``) or redraws an
+    # existing one with creation-rank zipf skew, the same shape the block
+    # generator uses, expressed over KV values.
+    created = workload.num_keys
+    new_prob = workload.new_content_prob
+    content_s = workload.content_zipf_s
     # Phase-staggered sinusoidal rate: tenants peak at different times,
     # in *simulated* microseconds only (wall clock never enters).
+    amplitude = workload.diurnal_amplitude
+    period = workload.diurnal_period_us
+    mean_gap = workload.mean_interarrival_us
     phase = 2.0 * math.pi * tenant / max(1, workload.tenants)
     cum_read = workload.read_prop
     cum_update = cum_read + workload.update_prop
@@ -229,53 +224,52 @@ def _tenant_txns(workload: KVWorkload, tenant: int) -> Iterator[KVRequest]:
     clock = 0.0
     for _ in range(workload.num_requests):
         rate = 1.0
-        if workload.diurnal_amplitude:
-            rate += workload.diurnal_amplitude * math.sin(
-                2.0 * math.pi * clock / workload.diurnal_period_us + phase
+        if amplitude:
+            rate += amplitude * math.sin(
+                2.0 * math.pi * clock / period + phase
             )
-        clock += (
-            rng.expovariate(1.0) * workload.mean_interarrival_us / rate
-        )
-        draw = rng.random()
+        # ``rng.expovariate(1.0)``, which is ``-log(1.0 - random()) / 1.0``.
+        clock += -math.log(1.0 - random_()) * mean_gap / rate
+        draw = random_()
         if draw < cum_read and live:
-            key = live[_pick_index(
-                rng, len(live), workload.key_zipf_s, workload.favor_latest
-            )]
-            yield KVRequest(clock, KVOp.GET, key)
-        elif draw < cum_update and live:
-            key = live[_pick_index(
-                rng, len(live), workload.key_zipf_s, workload.favor_latest
-            )]
+            count = len(live)
+            rank = zipf_rank(rng, count, key_s)
             yield KVRequest(
-                clock, KVOp.PUT, key,
-                value_bytes=_draw_size(workload, rng),
-                content_id=content.draw(rng),
+                clock, get, live[count - rank if latest else rank - 1]
             )
+            continue
+        if draw < cum_update and live:
+            count = len(live)
+            rank = zipf_rank(rng, count, key_s)
+            key = live[count - rank if latest else rank - 1]
         elif draw < cum_insert or not live:
             key = next_key
             next_key += 1
             live.append(key)
-            yield KVRequest(
-                clock, KVOp.PUT, key,
-                value_bytes=_draw_size(workload, rng),
-                content_id=content.draw(rng),
-            )
         elif draw < cum_delete:
-            index = _pick_index(
-                rng, len(live), workload.key_zipf_s, latest=False,
-            )
+            index = zipf_rank(rng, len(live), key_s) - 1
             key = live[index]
             live[index] = live[-1]   # swap-pop: O(1), deterministic
             live.pop()
-            yield KVRequest(clock, KVOp.DELETE, key)
+            yield KVRequest(clock, delete, key)
+            continue
         else:
-            key = live[_pick_index(
-                rng, len(live), workload.key_zipf_s, workload.favor_latest
-            )]
+            count = len(live)
+            rank = zipf_rank(rng, count, key_s)
+            key = live[count - rank if latest else rank - 1]
             yield KVRequest(
-                clock, KVOp.SCAN, key,
-                scan_length=1 + rng.randrange(workload.scan_length_max),
+                clock, scan, key, 0, 0,
+                1 + rng.randrange(workload.scan_length_max),
             )
+            continue
+        # An update or an insert: a PUT with a drawn size and content.
+        size = sizes[bisect.bisect(cumulative, random_() * total, 0, hi)]
+        if created == 0 or random_() < new_prob:
+            content_id = created
+            created += 1
+        else:
+            content_id = zipf_rank(rng, created, content_s) - 1
+        yield KVRequest(clock, put, key, size, content_id)
 
 
 # -- multi-tenant composition ------------------------------------------
@@ -325,7 +319,10 @@ def interleave_kv_tenants(
                         "raise content_space or pass share_contents=True"
                     )
                 content_id = content_id + index * content_space
-            yield replace(request, key=key, content_id=content_id)
+            yield KVRequest(
+                request.arrival_us, request.op, key, request.value_bytes,
+                content_id, request.scan_length,
+            )
 
     return iter(heapq.merge(
         *(shifted(stream, index) for index, stream in enumerate(tenants)),

@@ -300,9 +300,10 @@ class TenantSession:
             self._buffers[0].append(request)
             return
         shard = self._owners[request.lpn]
-        self._buffers[shard].append(
-            replace(request, lpn=self._local_of[shard][request.lpn])
-        )
+        self._buffers[shard].append(IORequest(
+            request.arrival_us, request.op,
+            self._local_of[shard][request.lpn], request.value_id,
+        ))
 
     def step_due(self) -> bool:
         """Whether any shard's buffer reached the batching threshold."""

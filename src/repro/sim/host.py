@@ -47,12 +47,7 @@ class HostRequest:
     def pages(self) -> List[IORequest]:
         """The page-granular operations this request decomposes into."""
         return [
-            IORequest(
-                arrival_us=self.arrival_us,
-                op=self.op,
-                lpn=self.lpn + offset,
-                value_id=value_id,
-            )
+            IORequest(self.arrival_us, self.op, self.lpn + offset, value_id)
             for offset, value_id in enumerate(self.value_ids)
         ]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ..core.hashing import Fingerprint, fingerprint_of_value
 
@@ -48,9 +49,12 @@ class IORequest:
         return fingerprint_of_value(self.value_id)
 
 
-@dataclass(frozen=True, slots=True)
-class CompletedRequest:
-    """A serviced request with its measured latency."""
+class CompletedRequest(NamedTuple):
+    """A serviced request with its measured latency.
+
+    Built once per serviced request, so it is a named tuple: immutable
+    like a frozen dataclass, at well under half the construction cost.
+    """
 
     request: IORequest
     start_us: float

@@ -39,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["SimulatedSSD", "replay"]
 
+# Bound once: an enum member lookup costs several times a global read.
+_WRITE, _READ = OpType.WRITE, OpType.READ
+
 
 class SimulatedSSD:
     """Couples an FTL with the timing model and runs requests through both."""
@@ -66,7 +69,11 @@ class SimulatedSSD:
         self.timelines = TimelineSet(
             config.total_chips, config.channels, config.chips_per_channel
         )
-        self.host_queue = HostQueue(queue_depth)
+        #: Admission control, only when the queue depth is bounded: at
+        #: unlimited depth every request starts at its arrival time.
+        self.host_queue = (
+            HostQueue(queue_depth) if queue_depth is not None else None
+        )
         self.reads = LatencyStats()
         self.writes = LatencyStats()
         self._horizon_us = 0.0
@@ -86,12 +93,17 @@ class SimulatedSSD:
 
     def submit(self, request: IORequest) -> CompletedRequest:
         """Service one request; returns its completion record."""
-        start = self.host_queue.admit(request.arrival_us)
+        host_queue = self.host_queue
+        arrival_us = request.arrival_us
+        start = (
+            arrival_us if host_queue is None
+            else host_queue.admit(arrival_us)
+        )
         timing = self.timing
         timelines = self.timelines
         op = request.op
         short_circuited = dedup_hit = False
-        if op is OpType.WRITE:
+        if op is _WRITE:
             outcome = self.ftl.write(
                 request.lpn, fingerprint_of_value(request.value_id)
             )
@@ -132,8 +144,8 @@ class SimulatedSSD:
             # write: tables only, no flash.
             short_circuited = outcome.short_circuited
             dedup_hit = outcome.dedup_hit
-            self.writes.record(finish - request.arrival_us)
-        elif op is OpType.READ:
+            self.writes.record(finish - arrival_us)
+        elif op is _READ:
             outcome = self.ftl.read(request.lpn)
             finish = start + timing.mapping_us
             if outcome.translation_reads or outcome.translation_writes:
@@ -149,7 +161,7 @@ class SimulatedSSD:
                     outcome.ppn // self._pages_per_chip,
                     finish, read_us, timing.channel_xfer_us,
                 )
-            self.reads.record(finish - request.arrival_us)
+            self.reads.record(finish - arrival_us)
         else:
             # TRIM is a metadata operation: table updates only.
             self.ftl.trim(request.lpn)
@@ -157,7 +169,8 @@ class SimulatedSSD:
         completed = CompletedRequest(
             request, start, finish, short_circuited, dedup_hit
         )
-        self.host_queue.register(finish)
+        if host_queue is not None:
+            host_queue.register(finish)
         if self.log is not None:
             self.log.record(completed)
         if finish > self._horizon_us:

@@ -115,10 +115,8 @@ def iter_fiu_requests(
         pages = max(1, -(-record.size // SECTORS_PER_PAGE))
         for offset in range(pages):
             yield IORequest(
-                arrival_us=record.timestamp * timestamp_unit_us,
-                op=record.op,
-                lpn=record.lpn + offset,
-                value_id=value_id,
+                record.timestamp * timestamp_unit_us, record.op,
+                record.lpn + offset, value_id,
             )
 
 

@@ -51,10 +51,8 @@ def request_of_record(record: dict) -> IORequest:
     try:
         op = OpType(record["op"])
         return IORequest(
-            arrival_us=float(record["t"]),
-            op=op,
-            lpn=int(record["lpn"]),
-            value_id=int(record.get("value", 0)),
+            float(record["t"]), op, int(record["lpn"]),
+            int(record.get("value", 0)),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise JSONLFormatError(str(exc)) from None

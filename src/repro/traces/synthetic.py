@@ -76,6 +76,7 @@ class SyntheticTraceGenerator:
         scan_lpn = 0
         # What each LPN currently holds; absent → its initial unique value.
         content: Dict[int, int] = {}
+        write, read = OpType.WRITE, OpType.READ
 
         for _ in range(profile.num_requests):
             clock_us += rng.expovariate(1.0 / profile.mean_interarrival_us)
@@ -102,15 +103,12 @@ class SyntheticTraceGenerator:
                         values_created += 1
                     lpn = self._draw_write_lpn(rng, value_id, values_created)
                 content[lpn] = value_id
-                yield IORequest(
-                    arrival_us=clock_us, op=OpType.WRITE,
-                    lpn=lpn, value_id=value_id,
-                )
+                yield IORequest(clock_us, write, lpn, value_id)
             else:
                 lpn = self._draw_read_lpn(rng)
                 yield IORequest(
-                    arrival_us=clock_us, op=OpType.READ, lpn=lpn,
-                    value_id=content.get(lpn, initial_value_of(lpn)),
+                    clock_us, read, lpn,
+                    content.get(lpn, initial_value_of(lpn)),
                 )
 
     def _draw_value(self, rng: random.Random, values_created: int) -> int:

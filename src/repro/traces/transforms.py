@@ -41,10 +41,8 @@ def scale_time(
         raise ValueError("factor must be positive")
     for request in trace:
         yield IORequest(
-            arrival_us=request.arrival_us * factor,
-            op=request.op,
-            lpn=request.lpn,
-            value_id=request.value_id,
+            request.arrival_us * factor, request.op, request.lpn,
+            request.value_id,
         )
 
 
@@ -57,10 +55,8 @@ def window(
     for request in trace:
         if start_us <= request.arrival_us < end_us:
             yield IORequest(
-                arrival_us=request.arrival_us - start_us,
-                op=request.op,
-                lpn=request.lpn,
-                value_id=request.value_id,
+                request.arrival_us - start_us, request.op, request.lpn,
+                request.value_id,
             )
 
 
@@ -95,10 +91,7 @@ def shift_lpns(
                 f"shift makes LPN negative ({request.lpn} + {offset})"
             )
         yield IORequest(
-            arrival_us=request.arrival_us,
-            op=request.op,
-            lpn=lpn,
-            value_id=request.value_id,
+            request.arrival_us, request.op, lpn, request.value_id
         )
 
 
@@ -129,10 +122,7 @@ def with_trims(
             writes += 1
             if writes % every_writes == 0:
                 yield IORequest(
-                    arrival_us=request.arrival_us,
-                    op=OpType.TRIM,
-                    lpn=request.lpn,
-                    value_id=0,
+                    request.arrival_us, OpType.TRIM, request.lpn, 0
                 )
 
 
@@ -192,10 +182,8 @@ def interleave_tenants(
         value_base = 0 if share_values else index * value_space
         streams.append([
             IORequest(
-                arrival_us=request.arrival_us,
-                op=request.op,
-                lpn=request.lpn + base,
-                value_id=request.value_id + value_base,
+                request.arrival_us, request.op, request.lpn + base,
+                request.value_id + value_base,
             )
             for request in tenant
         ])

@@ -44,12 +44,17 @@ def zipf_rank(rng: random.Random, n: int, s: float) -> int:
         return 1
     u = rng.random()
     span = n + 1.0
-    if abs(s - 1.0) < 1e-9:
+    # Comparisons rather than abs/min/max: the zoo draws once per keyed
+    # request, and each builtin call costs about as much as the math.
+    if -1e-9 < s - 1.0 < 1e-9:
         rank = math.exp(u * math.log(span))
     else:
         top = span ** (1.0 - s) - 1.0
         rank = (1.0 + u * top) ** (1.0 / (1.0 - s))
-    return min(n, max(1, int(rank)))
+    rank = int(rank)
+    if rank < 1:
+        return 1
+    return n if rank > n else rank
 
 
 def zipf_rank_legacy(rng: random.Random, n: int, s: float) -> int:

@@ -1,6 +1,7 @@
 """Unit tests for the KV translation layer (requests, inline packing,
 store) and the keyed workload zoo."""
 
+import bisect
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from repro.kv.store import KVStore, page_value_id
 from repro.kv.zoo import (
     KV_WORKLOADS,
     KVWorkload,
+    _size_table,
     interleave_kv_tenants,
     kv_workload,
     load_stream,
@@ -225,6 +227,43 @@ class TestKVStore:
         first = [next(stream) for _ in range(5)]
         assert [r.lpn for r in first] == [0, 1, 2, 3, 4]
 
+    #: Invalid keys and what they raise: ``True`` would alias key ``1``
+    #: as a dict key, so it must be refused like any other non-key.
+    BAD_KEYS = [(True, TypeError), (-1, ValueError), (2.5, TypeError)]
+
+    @pytest.mark.parametrize("value_bytes", [100, 10_000])
+    @pytest.mark.parametrize("key,error", BAD_KEYS)
+    def test_put_validates_key_whatever_the_value_size(
+        self, key, error, value_bytes
+    ):
+        store = KVStore(page_bytes=4096)
+        self.collect(store.put(1, 10_000, 7, 0.0))   # extent on 0, 1, 2
+        with pytest.raises(error):
+            self.collect(store.put(key, value_bytes, 8, 1.0))
+        assert store.live_keys == 1
+        assert store.stats.puts == 1
+        reads = self.collect(store.get(1, 2.0))
+        assert [r.lpn for r in reads] == [0, 1, 2]
+
+    @pytest.mark.parametrize("key,error", BAD_KEYS)
+    def test_get_and_delete_validate_key(self, key, error):
+        store = KVStore(page_bytes=4096)
+        self.collect(store.put(1, 10_000, 7, 0.0))
+        with pytest.raises(error):
+            self.collect(store.get(key, 1.0))
+        with pytest.raises(error):
+            self.collect(store.delete(key, 1.0))
+        assert store.live_keys == 1
+        assert store.stats.gets == store.stats.deletes == 0
+
+    def test_translate_validates_key(self):
+        store = KVStore(page_bytes=4096)
+        self.collect(store.put(1, 10_000, 7, 0.0))
+        bad = KVRequest(1.0, KVOp.PUT, True, 10_000, 8)
+        with pytest.raises(TypeError):
+            self.collect(store.translate([bad]))
+        assert store.live_keys == 1
+
     def test_max_pages_guard(self):
         store = KVStore(page_bytes=4096, max_pages=2)
         list(store.put(1, 8_192, 7, 0.0))
@@ -274,6 +313,21 @@ class TestZooStreams:
             for request in stream:
                 streamed.append(request)
             assert streamed == materialized
+
+    def test_size_draw_matches_choices(self):
+        """The zoo's hoisted size draw makes the ``random()`` call and the
+        ``bisect`` that ``rng.choices(weights=)`` makes: same sizes."""
+        for workload in KV_WORKLOADS.values():
+            sizes, cumulative, total, hi = _size_table(workload)
+            hoisted, reference = random.Random(5), random.Random(5)
+            for _ in range(2_000):
+                draw = hoisted.random() * total
+                assert sizes[bisect.bisect(cumulative, draw, 0, hi)] == (
+                    reference.choices(
+                        workload.value_sizes,
+                        weights=workload.value_size_weights,
+                    )[0]
+                )
 
     def test_arrival_order_is_monotone(self):
         for name in ("ycsb-a", "diurnal"):
@@ -367,6 +421,10 @@ class TestWorkloadConfig:
         with pytest.raises(ValueError, match="length mismatch"):
             KVWorkload("bad", read_prop=1.0, value_sizes=(1, 2),
                        value_size_weights=(1.0,))
+        for weights in ((0.0, 0.0), (2.0, -1.0)):
+            with pytest.raises(ValueError, match="value_size_weights"):
+                KVWorkload("bad", read_prop=1.0, value_sizes=(1, 2),
+                           value_size_weights=weights)
 
     def test_scaled_floors(self):
         tiny = kv_workload("ycsb-a").scaled(0.0001)

@@ -41,3 +41,14 @@ class TestCompletedRequest:
         done = CompletedRequest(request=req, start_us=0.0, finish_us=1.0)
         assert not done.short_circuited
         assert not done.dedup_hit
+
+    def test_fields_cannot_be_assigned(self):
+        req = IORequest(0.0, OpType.READ, 1, 2)
+        done = CompletedRequest(req, 0.0, 1.0)
+        for name in ("request", "start_us", "finish_us",
+                     "short_circuited", "dedup_hit"):
+            try:
+                setattr(done, name, None)
+                assert False, f"{name} should be immutable"
+            except AttributeError:
+                pass

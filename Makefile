@@ -7,14 +7,11 @@ export PYTHONPATH := src
 test: lint check
 	$(PYTHON) -m pytest -q
 
-# Static gate, three tools over all of src/repro:
-#   1. repro lint — the repo's own AST-based determinism/layering linter
-#      (pure stdlib, always available, see DESIGN.md §9);
-#   2. ruff, 3. mypy — generic lint/typing.  Both optional: environments
-#      without them (e.g. the minimal CI image) skip with a notice
-#      instead of failing.
+# Generic lint and typing over src/repro: ruff, then mypy.  Both are
+# optional: environments without them (e.g. the minimal CI image) skip
+# with a notice instead of failing.  The repo's own determinism and
+# layering rules are tier-1 tests (DESIGN.md §9), run by `make test`.
 lint:
-	$(PYTHON) -m repro lint src/repro
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src/repro; \
 	else \

@@ -9,7 +9,7 @@ in; it refuses unknown versions and kinds instead of guessing.
 
 Layering: sits above the device layers, below the front-ends that
 serialise records.  ``repro.core``/``repro.sim``/``repro.ftl`` must
-never import it (enforced by the ``layer.*`` lint rules).
+never import it (enforced by ``tests/unit/test_import_layers.py``).
 """
 
 from .schema import (
@@ -20,7 +20,6 @@ from .schema import (
     ResultRecord,
     SchemaError,
     aggregate_record,
-    lint_finding_record,
     parse_record,
     record_from_kv_run,
     record_from_run,
@@ -37,7 +36,6 @@ __all__ = [
     "ResultRecord",
     "SchemaError",
     "aggregate_record",
-    "lint_finding_record",
     "parse_record",
     "record_from_kv_run",
     "record_from_run",

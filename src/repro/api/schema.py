@@ -23,7 +23,8 @@ any removal or meaning change bumps it.
 Layering: this package sits above the device layers (it imports
 :mod:`repro.sim.metrics` types) and below the orchestration front-ends
 that serialise records (CLI, fleet export, bench, serve).  The device
-layers must never import it — enforced by the ``layer.*`` lint rules.
+layers must never import it — enforced by
+``tests/unit/test_import_layers.py``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "records_from_fleet",
     "record_from_kv_run",
     "records_from_kv_ablation",
-    "lint_finding_record",
     "session_digest",
     "parse_record",
 ]
@@ -73,7 +73,6 @@ KINDS = (
     "serve.session",  # final record of a completed serve session
     "kv.run",       # one keyed (KV-SSD) run over a zoo workload
     "kv.ablation",  # a KV run paired with its pool-off counterpart
-    "lint.finding",  # one lint violation (repro lint --format=jsonl)
 )
 
 
@@ -335,51 +334,6 @@ def aggregate_record(
         horizon_us=max((r.horizon_us for r in results), default=0.0),
         digest=digest,
         meta=dict(meta) if meta else {},
-    )
-
-
-def lint_finding_record(
-    path: str,
-    line: int,
-    col: int,
-    code: str,
-    message: str,
-    context: str = "<module>",
-) -> ResultRecord:
-    """The unified record of one lint finding.
-
-    ``repro lint --format=jsonl`` emits these (DESIGN.md §9) so lint
-    output speaks the same versioned schema as every other
-    machine-readable surface.  A
-    finding has no device run behind it: the latency summaries are
-    empty, ``horizon_us`` is zero, ``workload`` carries the offending
-    file, and the finding itself (code, message, location, enclosing
-    qualname) rides in ``meta`` like every kind-specific extra.
-
-    Takes plain fields rather than a ``Violation`` so this module never
-    imports :mod:`repro.lint` (the linter sits above the API layer, not
-    below it).
-    """
-    empty = LatencySummary(
-        count=0, mean_us=0.0, p50_us=0.0, p99_us=0.0, max_us=0.0
-    )
-    return ResultRecord(
-        kind="lint.finding",
-        system="repro.lint",
-        workload=path,
-        counters={"line": int(line), "col": int(col)},
-        reads=empty,
-        writes=empty,
-        requests=empty,
-        horizon_us=0.0,
-        meta={
-            "path": path,
-            "line": int(line),
-            "col": int(col),
-            "code": code,
-            "message": message,
-            "context": context,
-        },
     )
 
 

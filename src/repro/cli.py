@@ -37,9 +37,6 @@ Commands
     Run the streaming multi-tenant trace service (:mod:`repro.serve`):
     tenants stream JSONL trace traffic over a socket, sessions
     checkpoint/resume, and every response carries the unified schema.
-``lint``
-    Run the repo's AST-based determinism/layering linter
-    (:mod:`repro.lint`) over the given paths.
 
 All output goes to stdout; ``--json`` switches machine-readable output
 where applicable — always one ``repro.api/v1``
@@ -59,7 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .analysis.characterize import (
     invalidation_cdf,
@@ -84,7 +81,7 @@ from .cliopts import (
 from .experiments import figures as figures_mod
 from .experiments.figures import EvaluationMatrix
 from .experiments.config import RunConfig
-from .experiments.replication import paired_improvement
+from .experiments.replication import check_metric, paired_improvement
 from .experiments.runner import ExperimentContext, run_system
 from .ftl.dvp_ftl import SYSTEMS
 from .traces.profiles import PROFILES
@@ -331,37 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
              help="default trace-generator seed for sessions that do "
                   "not pick one (default: profile seed)")
     add_check_flags(serve_p)
-
-    lint_p = sub.add_parser(
-        "lint",
-        help="AST-based determinism & layering linter (see DESIGN.md §9)",
-    )
-    lint_p.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files/directories to lint (default: src/repro)",
-    )
-    lint_p.add_argument(
-        "--format", choices=("text", "jsonl", "github"), default="text",
-        help="report format: human text, JSONL records, or GitHub "
-             "Actions annotations (default text)",
-    )
-    lint_p.add_argument(
-        "--select", default=None, metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    lint_p.add_argument(
-        "--ignore", default=None, metavar="CODES",
-        help="comma-separated rule codes to skip",
-    )
-    lint_p.add_argument(
-        "--rules", action="store_true",
-        help="list the rule catalog (code + summary) and exit",
-    )
-    lint_p.add_argument(
-        "--package-root", default=None, metavar="DIR",
-        help="map module names relative to this directory instead of "
-             "auto-detecting package roots",
-    )
     return parser
 
 
@@ -516,6 +482,11 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        check_metric(args.metric)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reps = paired_improvement(
         args.workload, args.system, args.metric, seeds, args.scale,
         jobs=args.jobs,
@@ -857,58 +828,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import (
-        LintEngine,
-        all_rules,
-        render_github,
-        render_jsonl,
-        render_text,
-    )
-
-    if args.rules:
-        for rule in all_rules():
-            print(f"{rule.code:24s} {rule.summary}")
-        return 0
-
-    known = {rule.code for rule in all_rules()}
-
-    def parse_codes(raw: Optional[str], flag: str) -> Optional[List[str]]:
-        if raw is None:
-            return None
-        codes = [c.strip() for c in raw.split(",") if c.strip()]
-        unknown = [c for c in codes if c not in known]
-        if unknown:
-            raise ValueError(
-                f"{flag}: unknown rule codes {', '.join(unknown)} "
-                f"(see repro lint --rules)"
-            )
-        return codes
-
-    try:
-        select = parse_codes(args.select, "--select")
-        ignore = parse_codes(args.ignore, "--ignore")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    engine = LintEngine(
-        select=select, ignore=ignore, package_root=args.package_root
-    )
-    try:
-        result = engine.run(args.paths)
-    except (OSError, SyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    renderer = {
-        "text": render_text,
-        "jsonl": render_jsonl,
-        "github": render_github,
-    }[args.format]
-    print(renderer(result))
-    return 0 if result.clean else 1
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .experiments.report import generate_report
 
@@ -935,7 +854,6 @@ COMMANDS = {
     "kv": _cmd_kv,
     "serve": _cmd_serve,
     "bench": _cmd_bench,
-    "lint": _cmd_lint,
 }
 
 

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from statistics import mean, stdev
 from typing import List, Sequence
 
-from ..sim.metrics import percent_improvement
+from ..ftl.ftl import FTLCounters
+from ..sim.metrics import RunResult, percent_improvement
 from .runner import DEFAULT_SCALE
 
-__all__ = ["Replicates", "replicate", "paired_improvement"]
+__all__ = ["Replicates", "check_metric", "replicate", "paired_improvement"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,17 @@ class Replicates:
         )
 
 
+def check_metric(metric: str) -> None:
+    """Refuse a name that is not a ``RunResult.summary()`` key, before
+    any cell runs."""
+    valid = RunResult("", "", FTLCounters()).summary()
+    if metric not in valid:
+        raise ValueError(
+            f"unknown metric {metric!r}; choose from "
+            f"{', '.join(sorted(valid))}"
+        )
+
+
 def replicate(
     workload: str,
     system: str,
@@ -72,6 +84,7 @@ def replicate(
     from ..perf.parallel import run_specs
     from ..perf.spec import RunSpec
 
+    check_metric(metric)
     specs = [
         RunSpec(
             workload=workload,
@@ -107,6 +120,7 @@ def paired_improvement(
     from ..perf.parallel import run_specs
     from ..perf.spec import RunSpec
 
+    check_metric(metric)
     specs = []
     for seed in seeds:
         for name in (baseline, system):

@@ -11,7 +11,8 @@ it, and the tracked fleet bench cell gates it).
 
 Layering: this package sits in the harness layer next to
 :mod:`repro.experiments` and :mod:`repro.perf`; device-model packages
-(core/flash/ftl/sim) must never import it (enforced by ``repro.lint``).
+(core/flash/ftl/sim) must never import it (enforced by
+``tests/unit/test_import_layers.py``).
 """
 
 from .aggregate import FleetResult, PoolModeComparison

@@ -18,8 +18,8 @@ end to end:
 
 Layering: ``repro.kv`` sits with the orchestration layers (it drives
 :class:`~repro.experiments.device.Device`); the device layers —
-``repro.core`` above all — must never import it (enforced by the
-``layer.*`` lint rules).
+``repro.core`` above all — must never import it (enforced by
+``tests/unit/test_import_layers.py``).
 """
 
 from .inline import InlinePacker, InlineSlot, pack_value_id

@@ -286,8 +286,10 @@ class KVStore:
     def _scan(
         self, start_key: int, length: int, arrival_us: float
     ) -> List[IORequest]:
-        if not isinstance(start_key, int) or isinstance(start_key, bool):
-            raise TypeError("scans require integer keys")
+        if type(start_key) is not int or start_key < 0:
+            if isinstance(start_key, str):
+                raise TypeError("scans require integer keys")
+            check_key(start_key)
         if length <= 0:
             raise ValueError("scan length must be positive")
         self.stats.scans += 1

@@ -11,8 +11,9 @@ the fleet layer for a shard set.  Sessions checkpoint via
 resumes every tenant's device state exactly.
 
 Layering: the top of the stack.  Nothing below it — core, sim, ftl,
-fleet, experiments — may import it (enforced by the ``layer.*`` lint
-rules); it emits only the unified :mod:`repro.api` record schema.
+fleet, experiments — may import it (enforced by
+``tests/unit/test_import_layers.py``); it emits only the unified
+:mod:`repro.api` record schema.
 """
 
 from .checkpoint import (

@@ -1,8 +1,8 @@
 """Serve settings: the server-level knobs, env-readable for Docker.
 
 This module is the *only* place the serve layer reads the environment
-(the ``det.environ`` lint rule allows env access solely in ``config``
-modules): the Docker entrypoint configures the server entirely through
+(``tests/perf/test_hashseed_determinism.py`` allows env reads solely in
+``config`` modules and the trace cache): the Docker entrypoint configures the server entirely through
 ``REPRO_SERVE_*`` variables, and the ``repro serve`` CLI flags override
 whatever the environment provided.
 """

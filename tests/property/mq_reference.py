@@ -124,9 +124,9 @@ class MultiQueue(Generic[K, V]):
 
     def keys_in_queue(self, index: int) -> List[K]:
         """Keys of queue ``index`` from LRU head to MRU tail."""
-        # The queue dict's insertion order IS the LRU->MRU contract;
+        # Dict insertion order is the LRU->MRU contract, not hash order;
         # sorting here would destroy exactly the order callers want.
-        return list(self._queues[index].keys())  # lint: disable=det.set-iter
+        return list(self._queues[index].keys())
 
     # ------------------------------------------------------------------
     # Core operations

@@ -18,7 +18,6 @@ from repro.api import (
     ResultRecord,
     SchemaError,
     aggregate_record,
-    lint_finding_record,
     parse_record,
     record_from_run,
     records_from_fleet,
@@ -95,6 +94,12 @@ class TestParseRecordRejects:
         with pytest.raises(SchemaError, match="unknown record kind"):
             parse_record(wire)
 
+    def test_removed_lint_finding_kind(self, run_result):
+        wire = record_from_run(run_result).to_dict()
+        wire["kind"] = "lint.finding"
+        with pytest.raises(SchemaError, match="unknown record kind"):
+            parse_record(wire)
+
     def test_missing_latency(self, run_result):
         wire = record_from_run(run_result).to_dict()
         del wire["latency"]
@@ -155,22 +160,6 @@ class TestFleetRecords:
             wire = json.loads(json.dumps(record.to_dict()))
             assert parse_record(wire) == record
 
-    def test_lint_finding_round_trips(self):
-        record = lint_finding_record(
-            path="src/repro/core/dvp.py",
-            line=42,
-            col=5,
-            code="flow.taint-digest",
-            message="wall clock reaches result_digest",
-            context="LRUDeadValuePool.insert_garbage",
-        )
-        assert record.kind == "lint.finding"
-        assert record.counters == {"line": 42, "col": 5}
-        assert record.meta["code"] == "flow.taint-digest"
-        assert record.meta["context"] == "LRUDeadValuePool.insert_garbage"
-        wire = json.loads(json.dumps(record.to_dict()))
-        assert parse_record(wire) == record
-
     def test_aggregate_record_sums_and_merges(self, fleet_result):
         shards = list(fleet_result.shard_results)
         aggregate = aggregate_record(
@@ -193,7 +182,7 @@ class TestSchemaConstants:
         assert set(KINDS) == {
             "run", "bench.cell", "fleet.shard", "fleet",
             "serve.metrics", "serve.session",
-            "kv.run", "kv.ablation", "lint.finding",
+            "kv.run", "kv.ablation",
         }
 
     def test_record_is_frozen(self, run_result):

@@ -110,6 +110,16 @@ class TestReplicateCommand:
         assert code == 0
         assert "n=2" in out
 
+    def test_unknown_metric_is_one_error_line(self, capsys):
+        code = main([
+            "replicate", "--workload", "desktop", "--system", "ideal",
+            "--scale", "0.02", "--seeds", "1,2", "--metric", "mean_latency",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "mean_latency_us" in err and "flash_writes" in err
+
 
 class TestReportCommand:
     def test_report_to_file(self, tmp_path, capsys):

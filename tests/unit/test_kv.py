@@ -215,6 +215,15 @@ class TestKVStore:
         with pytest.raises(TypeError):
             self.collect(store.scan("a", 3, 1.0))
 
+    @pytest.mark.parametrize("key,error", [(-3, ValueError), (True, TypeError)])
+    def test_scan_validates_start_key_like_other_ops(self, key, error):
+        store = KVStore(page_bytes=4096)
+        for k in (0, 2):
+            self.collect(store.put(k, 4_096, k, 0.0))
+        with pytest.raises(error):
+            self.collect(store.scan(key, 6, 1.0))
+        assert store.stats.scans == 0
+
     def test_translate_is_lazy(self):
         store = KVStore(page_bytes=4096)
 

@@ -55,3 +55,14 @@ class TestReplicate:
             "desktop", "baseline", "flash_writes", seeds=(3,), scale=self.SCALE,
         )
         assert reps.samples == [0.0]
+
+    @pytest.mark.parametrize("run", [replicate, paired_improvement])
+    def test_unknown_metric_refused_before_any_cell_runs(
+        self, run, monkeypatch
+    ):
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran before the metric was checked")
+
+        monkeypatch.setattr("repro.perf.parallel.run_specs", no_cells)
+        with pytest.raises(ValueError, match="mean_latency_us"):
+            run("mail", "mq-dvp", "mean_latency", seeds=(1,), scale=self.SCALE)

@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint check perf-smoke fleet-smoke serve-smoke kv-smoke bench \
-	bench-gate figures replaybench replaybench-test
+	figures replaybench replaybench-test
 
 test: lint check
 	$(PYTHON) -m pytest -q
@@ -32,8 +32,9 @@ check:
 		tests/property/test_check_fuzz.py \
 		tests/integration/test_differential.py
 
-# Tiny parallel-engine smoke: process-pool round trip, caches, bench
-# harness shape.  Part of the plain suite too; this target isolates it.
+# Tiny parallel-engine smoke: process-pool round trip and jobs=1 vs
+# jobs=2 digest identity.  Part of the plain suite too; this target
+# isolates it.
 perf-smoke:
 	$(PYTHON) -m pytest -q -m perf_smoke
 
@@ -53,17 +54,12 @@ serve-smoke:
 kv-smoke:
 	$(PYTHON) -m pytest -q -m kv_smoke
 
-# Refresh the tracked perf report (serial vs parallel canonical matrix
-# plus the fleet section: long-lived shards, pool-mode comparison).
+# Refresh the tracked BENCH_replay.json on this machine: every
+# BENCHMARK.json workload through replaybench for its run_seconds, plus
+# the fleet cell at jobs=1 and jobs=min(4, cores).  Exits 1 on a wrong
+# digest, failed requests or a sub-1x fleet speedup.  Not run in CI.
 bench:
-	$(PYTHON) benchmarks/perf/harness.py --out BENCH_matrix.json
-
-# The same digest and timing gate against the tracked report, run on a
-# temporary copy so BENCH_matrix.json itself is left as it is.
-bench-gate:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-		cp BENCH_matrix.json "$$tmp/BENCH_matrix.json" && \
-		$(PYTHON) benchmarks/perf/harness.py --out "$$tmp/BENCH_matrix.json"
+	$(PYTHON) benchmarks/bench.py
 
 # Replay benchmark (BENCHMARK.json): every workload at seed 1, untraced
 # end-to-end metrics and the traced per-layer ledger (replaybench/README.md).

@@ -1,8 +1,7 @@
 """repro.api — the versioned, frozen result/session schema surface.
 
 Every machine-readable output in the repo (CLI ``--json``, the obs/fleet
-JSONL exporters, the bench harness's per-cell entries, every
-``repro serve`` response) emits one shape: the
+JSONL exporters, every ``repro serve`` response) emits one shape: the
 :class:`~repro.api.schema.ResultRecord` under schema ``repro.api/v1``.
 :func:`~repro.api.schema.parse_record` is the only sanctioned way back
 in; it refuses unknown versions and kinds instead of guessing.

@@ -2,15 +2,16 @@
 
 Before this module existed the repo had three divergent result shapes:
 ``RunResult.summary()`` flat dicts (CLI ``--json``), the fleet layer's
-hand-rolled ``kind=shard/fleet`` JSONL records, and the bench harness's
-cell dicts.  Consumers had to know which producer they were reading.
+hand-rolled ``kind=shard/fleet`` JSONL records, and the old bench
+harness's cell dicts.  Consumers had to know which producer they were
+reading.
 
 :class:`ResultRecord` unifies them: one frozen, typed record with an
 explicit ``schema_version``, a ``kind`` tag naming the producer, the
 full counter set, exact-percentile latency summaries and the run's
 content digest.  Every machine-readable surface — ``repro run/matrix/
-faults/fleet --json``, the fleet/obs JSONL exporters, the bench
-harness's per-cell entries and every ``repro serve`` response — emits
+faults/fleet/kv --json``, the fleet/obs JSONL exporters and every
+``repro serve`` response — emits
 this shape and nothing else; :func:`parse_record` round-trips it back
 into the typed form (``parse_record(r.to_dict()) == r``, enforced by
 the schema tests).
@@ -22,7 +23,7 @@ any removal or meaning change bumps it.
 
 Layering: this package sits above the device layers (it imports
 :mod:`repro.sim.metrics` types) and below the orchestration front-ends
-that serialise records (CLI, fleet export, bench, serve).  The device
+that serialise records (CLI, fleet export, serve).  The device
 layers must never import it — enforced by
 ``tests/unit/test_import_layers.py``.
 """
@@ -66,7 +67,6 @@ SCHEMA_VERSION = 1
 #: reject unknown kinds the same way they reject unknown versions.
 KINDS = (
     "run",          # one run_system() drive
-    "bench.cell",   # one timed cell of the tracked benchmark matrix
     "fleet.shard",  # one shard of a fleet run
     "fleet",        # the fleet aggregate over its shards
     "serve.metrics",  # incremental mid-stream snapshot of a serve session

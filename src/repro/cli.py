@@ -31,8 +31,6 @@ Commands
     any system: key→LPN translation, small-value inlining, TRIM on
     delete; ``--ablate`` pairs the run with its pool-off counterpart
     and reports the revival / write-amplification delta.
-``bench``
-    Time the canonical matrix and refresh ``BENCH_matrix.json``.
 ``serve``
     Run the streaming multi-tenant trace service (:mod:`repro.serve`):
     tenants stream JSONL trace traffic over a socket, sessions
@@ -41,14 +39,15 @@ Commands
 All output goes to stdout; ``--json`` switches machine-readable output
 where applicable — always one ``repro.api/v1``
 :class:`~repro.api.ResultRecord` shape (or a mapping of them), the
-same schema the obs/fleet JSONL exporters, the bench harness and the
-serve responses emit.  Commands that fan out over independent cells
-(``compare``, ``replicate``, ``matrix``, ``bench``) take ``--jobs N``
+same schema the obs/fleet JSONL exporters and the serve responses
+emit.  Commands that fan out over independent cells (``compare``,
+``replicate``, ``matrix``, ``fleet``, ``kv``) take ``--jobs N``
 (0 = all cores); parallel results are bit-identical to ``--jobs 1``.
 Shared flag groups (``--scale``, ``--jobs``, ``--seed``, the
 ``--check`` trio, the fault probabilities, the ``--obs`` pair) are
 declared once in :mod:`repro.cliopts` and reused verbatim across
-subcommands.  Exit code 0 on success, 2 on usage errors.
+subcommands; their numeric values are validated as they are parsed.
+Exit code 0 on success, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -77,6 +76,8 @@ from .cliopts import (
     check_kwargs,
     fault_config,
     fault_config_or_none,
+    int_list,
+    positive_int,
 )
 from .experiments import figures as figures_mod
 from .experiments.figures import EvaluationMatrix
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one system on one workload")
     run_p.add_argument("--workload", choices=sorted(PROFILES), required=True)
     run_p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
-    run_p.add_argument("--pool", type=int, default=200_000,
+    run_p.add_argument("--pool", type=positive_int, default=200_000,
                        help="pool size in paper-label entries (default 200K)")
     run_p.add_argument("--json", action="store_true")
     add_obs_flags(run_p)
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--systems", default="baseline,mq-dvp,dedup,dvp+dedup",
         help="comma-separated system names (first is the reference)",
     )
-    cmp_p.add_argument("--pool", type=int, default=200_000)
+    cmp_p.add_argument("--pool", type=positive_int, default=200_000)
     add_check_flags(cmp_p)
     add_scale(cmp_p)
     add_jobs(cmp_p)
@@ -164,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--workload", choices=sorted(PROFILES), required=True)
     rep_p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
     rep_p.add_argument("--metric", default="flash_writes")
-    rep_p.add_argument("--seeds", default="1,2,3",
-                       help="comma-separated seeds")
+    rep_p.add_argument("--seeds", type=int_list, default=[1, 2, 3],
+                       help="comma-separated seeds (default 1,2,3)")
     add_scale(rep_p)
     add_jobs(rep_p)
 
@@ -180,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--systems", default="baseline,mq-dvp,dedup",
         help="comma-separated system names",
     )
-    mat_p.add_argument("--pool", type=int, default=200_000,
+    mat_p.add_argument("--pool", type=positive_int, default=200_000,
                        help="pool size in paper-label entries")
-    mat_p.add_argument("--queue-depth", type=int, default=None,
+    mat_p.add_argument("--queue-depth", type=positive_int, default=None,
                        help="device queue depth (default: config value)")
     mat_p.add_argument("--json", action="store_true")
     add_scale(mat_p)
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flt_p.add_argument("--workload", choices=sorted(PROFILES), required=True)
     flt_p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
-    flt_p.add_argument("--pool", type=int, default=200_000,
+    flt_p.add_argument("--pool", type=positive_int, default=200_000,
                        help="pool size in paper-label entries (default 200K)")
     add_fault_flags(flt_p)
     add_check_flags(flt_p)
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 0.5)",
     )
     flt_p.add_argument(
-        "--window", type=int, default=2000, metavar="N",
+        "--window", type=positive_int, default=2000, metavar="N",
         help="--recovery: sampling window in host requests (default 2000)",
     )
     flt_p.add_argument("--json", action="store_true")
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
     fleet_p.add_argument("--shards", type=int, default=4, metavar="N",
                          help="number of simulated drives (default 4)")
-    fleet_p.add_argument("--pool", type=int, default=200_000,
+    fleet_p.add_argument("--pool", type=positive_int, default=200_000,
                          help="fleet pool budget in paper-label entries "
                               "(default 200K)")
     fleet_p.add_argument(
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="zoo workload (default ycsb-a)")
     kv_p.add_argument("--system", choices=sorted(SYSTEMS), default="mq-dvp",
                       help="studied system (default mq-dvp)")
-    kv_p.add_argument("--pool", type=int, default=200_000,
+    kv_p.add_argument("--pool", type=positive_int, default=200_000,
                       help="pool size in paper-label entries (default 200K)")
     kv_p.add_argument(
         "--ablate", action="store_true",
@@ -273,28 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(kv_p, default=None, help="workload generator seed override")
     add_scale(kv_p)
     add_jobs(kv_p)
-
-    bench_p = sub.add_parser(
-        "bench", help="time the canonical matrix; refresh BENCH_matrix.json"
-    )
-    bench_p.add_argument("--out", default="BENCH_matrix.json",
-                         help="report path (default BENCH_matrix.json)")
-    bench_p.add_argument(
-        "--workloads", default=None,
-        help="comma-separated workloads (default: canonical slice)",
-    )
-    bench_p.add_argument(
-        "--systems", default=None,
-        help="comma-separated systems (default: canonical slice)",
-    )
-    bench_p.add_argument(
-        "--scale", type=float, default=None,
-        help="workload scale (default: canonical bench scale)",
-    )
-    bench_p.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="workers for the parallel leg (default 0 = all cores)",
-    )
 
     serve_p = sub.add_parser(
         "serve",
@@ -481,14 +460,13 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     try:
         check_metric(args.metric)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reps = paired_improvement(
-        args.workload, args.system, args.metric, seeds, args.scale,
+        args.workload, args.system, args.metric, args.seeds, args.scale,
         jobs=args.jobs,
     )
     print(f"{args.system} vs baseline on {args.workload}, "
@@ -795,39 +773,6 @@ def _cmd_kv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import write_benchmark
-
-    kwargs = {"jobs": args.jobs}
-    if args.workloads:
-        kwargs["workloads"] = [
-            w.strip() for w in args.workloads.split(",") if w.strip()
-        ]
-    if args.systems:
-        kwargs["systems"] = [
-            s.strip() for s in args.systems.split(",") if s.strip()
-        ]
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
-    report = write_benchmark(args.out, **kwargs)
-    second_leg = (
-        "serial_fallback"
-        if report["serial_fallback"]
-        else f"x{report['speedup']}, jobs={report['jobs']}"
-    )
-    print(
-        f"wrote {args.out}: {len(report['cells'])} cells, "
-        f"serial {report['serial_seconds']:.2f}s, "
-        f"parallel {report['parallel_seconds']:.2f}s "
-        f"({second_leg}), "
-        f"identical_results={report['identical_results']}"
-    )
-    ok = report["identical_results"] and (
-        report["serial_fallback"] or (report["speedup"] or 0) >= 1.0
-    )
-    return 0 if ok else 1
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .experiments.report import generate_report
 
@@ -853,7 +798,6 @@ COMMANDS = {
     "fleet": _cmd_fleet,
     "kv": _cmd_kv,
     "serve": _cmd_serve,
-    "bench": _cmd_bench,
 }
 
 

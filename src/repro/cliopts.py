@@ -13,11 +13,17 @@ and so the *translation* from parsed args to config objects
 
 Nothing here imports the heavy simulation stack at module load; the
 helpers lazily import what they build.
+
+Numeric flags are validated as they are parsed, by the ``type=``
+functions below: a bad value ends the command with one
+``repro <cmd>: error: argument ...`` line and exit code 2, before any
+work starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -29,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .obs.sampler import TimeSeriesSampler
 
 __all__ = [
+    "positive_float",
+    "positive_int",
+    "non_negative_int",
+    "int_list",
     "add_scale",
     "add_jobs",
     "add_seed",
@@ -43,6 +53,58 @@ __all__ = [
 ]
 
 
+# -- value types -------------------------------------------------------
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+
+
+def positive_float(text: str) -> float:
+    """A finite float above zero (``--scale``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
+
+
+def positive_int(text: str) -> int:
+    """An int above zero (``--check-interval``, ``--pool``, ``--window``)."""
+    value = _int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """An int of zero or more (``--jobs``, where 0 means all cores;
+    ``--trim-every``, where 0 means no trims)."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def int_list(text: str) -> list:
+    """A non-empty comma-separated list of ints (``--seeds``)."""
+    values = [_int(part.strip()) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
 # -- flag groups -------------------------------------------------------
 
 
@@ -50,7 +112,7 @@ def add_scale(parser: argparse.ArgumentParser) -> None:
     from .experiments.config import DEFAULT_SCALE
 
     parser.add_argument(
-        "--scale", type=float, default=DEFAULT_SCALE,
+        "--scale", type=positive_float, default=DEFAULT_SCALE,
         help=f"workload scale (default {DEFAULT_SCALE})",
     )
 
@@ -60,7 +122,7 @@ def add_jobs(
     help: Optional[str] = None,
 ) -> None:
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=non_negative_int, default=1, metavar="N",
         help=help or (
             "worker processes for independent cells "
             "(default 1 = serial, 0 = all cores)"
@@ -89,12 +151,12 @@ def add_check_flags(parser: argparse.ArgumentParser) -> None:
              "every read, revival and trim (see DESIGN.md)",
     )
     parser.add_argument(
-        "--check-interval", type=int, default=None, metavar="N",
+        "--check-interval", type=positive_int, default=None, metavar="N",
         help="events between full invariant audits (implies --check; "
              "default 1000)",
     )
     parser.add_argument(
-        "--trim-every", type=int, default=0, metavar="N",
+        "--trim-every", type=non_negative_int, default=0, metavar="N",
         help="inject a TRIM after every Nth write (0 = none); "
              "changes the trace, so results differ from the "
              "untrimmed run by construction",

@@ -7,7 +7,7 @@ functions of their :class:`ShardSpec`, so they fan out to long-lived
 worker processes on the :mod:`repro.perf` engine and collect in
 deterministic shard order — ``jobs=1`` and ``jobs=N`` produce
 bit-identical per-shard digests (the fleet determinism tests enforce
-it, and the tracked fleet bench cell gates it).
+it, and ``make bench`` checks it on the fleet cell it times).
 
 Layering: this package sits in the harness layer next to
 :mod:`repro.experiments` and :mod:`repro.perf`; device-model packages

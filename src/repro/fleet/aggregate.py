@@ -10,8 +10,8 @@ totals, again not means of per-shard ratios.
 ``shard_digests`` carries each shard's
 :func:`~repro.perf.spec.result_digest` in shard order; the fleet digest
 hashes their concatenation.  These are the bit-identity oracle for the
-fleet determinism tests and the tracked fleet bench cell: ``jobs=1`` and
-``jobs=N`` must mint identical digest tuples.
+fleet determinism tests and the fleet cell ``make bench`` times:
+``jobs=1`` and ``jobs=N`` must mint identical digest tuples.
 
 ``export_jsonl`` writes the per-shard and fleet records through the
 :mod:`repro.obs` JSONL sink, so fleet output flows through the same
@@ -47,8 +47,8 @@ class FleetResult:
 
     spec: "FleetSpec"
     shard_results: Tuple[RunResult, ...]
-    #: Effective worker count the run used (1 = serial path); bench
-    #: reporting uses it to carry the serial-fallback marker through.
+    #: Effective worker count the run used (1 = serial path), capped at
+    #: the shard count.
     jobs: int
     #: :func:`~repro.perf.spec.result_digest` per shard, in shard order.
     shard_digests: Tuple[str, ...]

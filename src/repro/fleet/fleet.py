@@ -234,8 +234,7 @@ def run_fleet(spec: FleetSpec, jobs: Optional[int] = 1) -> FleetResult:
     ``jobs=1`` (default) runs shards serially in-process; ``jobs=None``/
     ``0`` uses every core.  Jobs are capped at the shard count — a fleet
     of 4 long-lived shards can never keep more workers busy — and the
-    effective worker count is recorded on the result so bench reporting
-    can carry the serial-fallback marker through fleet runs.
+    effective worker count is recorded on the result.
     """
     shard_specs = [spec.shard(index) for index in range(spec.shards)]
     jobs = resolve_jobs(jobs, tasks=spec.shards)

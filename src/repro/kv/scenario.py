@@ -65,6 +65,9 @@ _DIGEST_PROTOCOL = 4
 #: like the block profiles' ``fill_fraction``).
 DEFAULT_FILL_FRACTION = 0.55
 
+# Bound once: an enum member lookup costs several times a global read.
+_WRITE, _READ = OpType.WRITE, OpType.READ
+
 
 @dataclass(frozen=True)
 class KVSpec:
@@ -158,9 +161,9 @@ def _apply_untimed(ftl, store: KVStore, stream) -> None:
     """Apply translated page ops directly to the FTL (load phase: state
     transitions only, no DES timing)."""
     for request in store.translate(stream):
-        if request.op is OpType.WRITE:
+        if request.op is _WRITE:
             ftl.write(request.lpn, fingerprint_of_value(request.value_id))
-        elif request.op is OpType.READ:
+        elif request.op is _READ:
             ftl.read(request.lpn)
         else:
             ftl.trim(request.lpn)
@@ -242,7 +245,8 @@ def run_kv_ablation(
     The off leg is the system's :data:`~repro.ftl.dvp_ftl.
     POOL_OFF_SYSTEM` counterpart on the *same* workload, drive geometry
     and store, so the delta isolates exactly what revival buys under
-    keyed traffic (the KV ablation cell of ``make bench`` tracks it).
+    keyed traffic (``tests/perf/test_kv_goldens.py`` pins both legs'
+    digests for YCSB-A and YCSB-B).
     """
     on_spec, off_spec = spec, spec.pool_off()
     on, off = run_kv_specs([on_spec, off_spec], jobs=jobs)

@@ -14,7 +14,9 @@ Each cell preconditions its own drive in one bulk pass
 (:meth:`~repro.ftl.ftl.BaseFTL.precondition`); :mod:`.snapshot` holds
 only the serve layer's live mid-run checkpoint.
 
-:mod:`.bench` drives the tracked ``BENCH_matrix.json`` harness on top.
+Host-time measurement lives outside the package: ``replaybench/``
+times replays and ``make bench`` (``benchmarks/bench.py``) writes the
+tracked ``BENCH_replay.json`` from it.
 
 Attribute access is lazy (PEP 562): :mod:`repro.experiments.runner`
 imports the trace cache at module level while :mod:`.spec` imports the
@@ -28,51 +30,32 @@ from typing import TYPE_CHECKING
 __all__ = [
     "RunSpec",
     "execute_spec",
-    "execute_spec_timed",
     "result_digest",
     "pool_chunksize",
     "resolve_jobs",
     "run_specs",
-    "run_specs_timed",
     "TraceCache",
     "profile_cache_key",
     "default_trace_cache",
     "cached_trace",
-    "run_benchmark",
-    "write_benchmark",
 ]
 
 _EXPORTS = {
     "RunSpec": ".spec",
     "execute_spec": ".spec",
-    "execute_spec_timed": ".spec",
     "result_digest": ".spec",
     "pool_chunksize": ".parallel",
     "resolve_jobs": ".parallel",
     "run_specs": ".parallel",
-    "run_specs_timed": ".parallel",
     "TraceCache": ".trace_cache",
     "profile_cache_key": ".trace_cache",
     "default_trace_cache": ".trace_cache",
     "cached_trace": ".trace_cache",
-    "run_benchmark": ".bench",
-    "write_benchmark": ".bench",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from .bench import run_benchmark, write_benchmark
-    from .parallel import (
-        pool_chunksize,
-        resolve_jobs,
-        run_specs,
-        run_specs_timed,
-    )
-    from .spec import (
-        RunSpec,
-        execute_spec,
-        execute_spec_timed,
-        result_digest,
-    )
+    from .parallel import pool_chunksize, resolve_jobs, run_specs
+    from .spec import RunSpec, execute_spec, result_digest
     from .trace_cache import (
         TraceCache,
         cached_trace,

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..sim.metrics import RunResult
-from .spec import RunSpec, execute_spec, execute_spec_timed
+from .spec import RunSpec, execute_spec
 from .trace_cache import default_trace_cache
 
-__all__ = ["pool_chunksize", "resolve_jobs", "run_specs", "run_specs_timed"]
+__all__ = ["pool_chunksize", "resolve_jobs", "run_specs"]
 
 
 def resolve_jobs(jobs: Optional[int], tasks: Optional[int] = None) -> int:
@@ -83,10 +83,6 @@ def _run_spec_worker(spec: RunSpec) -> RunResult:
     return execute_spec(spec)
 
 
-def _run_spec_timed_worker(spec: RunSpec) -> Tuple[RunResult, float]:
-    return execute_spec_timed(spec)
-
-
 def run_specs(
     specs: Sequence[RunSpec], jobs: Optional[int] = 1
 ) -> List[RunResult]:
@@ -111,22 +107,3 @@ def run_specs(
             )
         )
 
-
-def run_specs_timed(
-    specs: Sequence[RunSpec], jobs: Optional[int] = 1
-) -> List[Tuple[RunResult, float]]:
-    """Like :func:`run_specs` but pairs each result with its cell's
-    wall-clock seconds (as measured inside the worker)."""
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(specs) <= 1:
-        return [execute_spec_timed(spec) for spec in specs]
-    _prewarm_traces(specs)
-    workers = min(jobs, len(specs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(
-                _run_spec_timed_worker,
-                specs,
-                chunksize=pool_chunksize(len(specs), workers),
-            )
-        )

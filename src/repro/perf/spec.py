@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import time
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..experiments.config import DEFAULT_SCALE, RunConfig
 from ..experiments.runner import ExperimentContext, run_system
@@ -31,12 +30,12 @@ from ..traces.profiles import WorkloadProfile, profile_by_name
 __all__ = [
     "RunSpec",
     "execute_spec",
-    "execute_spec_timed",
     "result_digest",
 ]
 
 #: Digest pickling is pinned (not HIGHEST_PROTOCOL) so digests stay
-#: comparable across interpreter versions in tracked BENCH files.
+#: comparable across interpreter versions: the tier-1 goldens and
+#: ``replaybench/digests.json`` hold digests minted this way.
 _DIGEST_PROTOCOL = 4
 
 
@@ -121,14 +120,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
     )
 
 
-def execute_spec_timed(spec: RunSpec) -> Tuple[RunResult, float]:
-    """Run one cell and report its wall-clock seconds (preconditioning
-    included; trace generation only when the trace cache misses)."""
-    start = time.perf_counter()
-    result = execute_spec(spec)
-    return result, time.perf_counter() - start
-
-
 def result_digest(result: RunResult) -> str:
     """Content hash of everything a run observably produced.
 
@@ -138,8 +129,8 @@ def result_digest(result: RunResult) -> str:
 
     Fault statistics join the payload only when the run carried a fault
     model, so fault-free digests stay byte-for-byte comparable with
-    digests minted before the fault layer existed (tracked BENCH files
-    and the golden digests in the determinism tests rely on this).
+    digests minted before the fault layer existed (the golden digests in
+    the determinism tests and ``replaybench/digests.json`` rely on this).
     """
     payload = (
         result.system,

@@ -5,6 +5,11 @@ function of its :class:`~repro.fleet.ShardSpec`, results collect in
 shard order, and the per-shard ``result_digest`` tuples must match
 across any worker count.  Chunked stepping must also be invisible: the
 chunk size only bounds batch memory, never the outcome.
+
+``TRACKED_FLEET_DIGEST`` pins the GC-bound fleet cell ``make bench``
+times (mail/mq-dvp, 4 shards, scale 0.2), so a change to routing, shard
+remapping or any shard's replay shows here as well as in the small-scale
+identity tests.
 """
 
 import pytest
@@ -14,6 +19,13 @@ from repro.perf.spec import result_digest
 
 SCALE = 0.02
 SPEC = FleetSpec(workload="mail", system="mq-dvp", shards=4, scale=SCALE)
+
+TRACKED_FLEET_SPEC = FleetSpec(
+    workload="mail", system="mq-dvp", shards=4, scale=0.2
+)
+TRACKED_FLEET_DIGEST = (
+    "081c67986dc804522b1b58d500ff733cecdc36d596f9112f6312107f0cdc633e"
+)
 
 
 @pytest.mark.fleet_smoke
@@ -26,6 +38,10 @@ class TestFleetDeterminism:
         # jobs are capped at the shard count: 8 workers for 4 long-lived
         # shards would fork 4 idle processes.
         assert parallel.jobs <= SPEC.shards
+
+    def test_tracked_fleet_digest(self):
+        fleet = run_fleet(TRACKED_FLEET_SPEC, jobs=1)
+        assert fleet.fleet_digest == TRACKED_FLEET_DIGEST
 
     def test_serial_path_matches_execute_shard_by_hand(self):
         fleet = run_fleet(SPEC, jobs=1)

@@ -6,6 +6,10 @@ adapter stopped keeping a queue at unlimited depth.  Those rewrites must
 change no page request, no store counter and no simulated time, so each
 ``kv_result_digest`` must reproduce byte for byte, on the page-mapped and
 the DFTL-backed pool, at unlimited depth and at ``queue_depth=4``.
+
+``ABLATION_GOLDEN`` pins both legs of ``run_kv_ablation`` (pool on and
+pool off) for the update-heavy and read-mostly YCSB mixes at scale 0.5,
+where ycsb-a revives about a fifth of its flash writes.
 """
 
 import pytest
@@ -85,3 +89,28 @@ def test_kv_digest_matches_golden(workload, system, queue_depth):
         queue_depth=queue_depth,
     ))
     assert run.digest == GOLDEN[workload, system, queue_depth]
+
+
+#: (workload, system) -> kv_result_digest, scale 0.5: each YCSB mix on
+#: mq-dvp and on its pool-off counterpart (``KVSpec.pool_off``).
+ABLATION_SCALE = 0.5
+ABLATION_GOLDEN = {
+    ("ycsb-a", "mq-dvp"):
+        "7398c751303a70a35e111331a0c0f0700590d3d3c743f74e4d0ee081329336f8",
+    ("ycsb-a", "baseline"):
+        "adc4665a47301d23ad57bfe5d69d8a7c8feb3efe5a417c675a3fc0613eb1e60d",
+    ("ycsb-b", "mq-dvp"):
+        "435cd9e16b184ea7b2a3c540869f8178a6df858827463c358342f51d73fc602d",
+    ("ycsb-b", "baseline"):
+        "e3fcdc073475f08441c5358b3f2aa9ab2e6b86c3b8ec8fe7fb79376cbf910a70",
+}
+
+
+@pytest.mark.kv_smoke
+@pytest.mark.parametrize("workload", ["ycsb-a", "ycsb-b"])
+def test_kv_ablation_digests_match_golden(workload):
+    on = KVSpec(workload=workload, system="mq-dvp", scale=ABLATION_SCALE)
+    for spec in (on, on.pool_off()):
+        assert execute_kv_spec(spec).digest == ABLATION_GOLDEN[
+            workload, spec.system
+        ]

@@ -2,15 +2,12 @@
 
 Selected with ``-m perf_smoke`` (``make perf-smoke``); also runs as part
 of the plain tier-1 suite.  Kept tiny — two workloads, three systems,
-``--jobs 2`` — so it exercises the process-pool round trip, the caches
-and the bench harness in seconds.
+``--jobs 2`` — so it exercises the process-pool round trip and the
+caches in seconds.
 """
-
-import json
 
 import pytest
 
-from repro.perf.bench import run_benchmark, write_benchmark
 from repro.perf.parallel import pool_chunksize, resolve_jobs, run_specs
 from repro.perf.spec import RunSpec, result_digest
 
@@ -36,36 +33,6 @@ class TestPerfSmoke:
         serial = [result_digest(r) for r in run_specs(SPECS, jobs=1)]
         parallel = [result_digest(r) for r in run_specs(SPECS, jobs=2)]
         assert serial == parallel
-
-    def test_bench_report_shape(self):
-        report = run_benchmark(
-            workloads=("web",),
-            systems=("baseline", "mq-dvp"),
-            scale=SCALE,
-            jobs=2,
-        )
-        assert report["schema"] == "repro.perf.bench_matrix/v1"
-        assert report["identical_results"] is True
-        assert len(report["cells"]) == 2
-        for cell in report["cells"]:
-            assert cell["serial_seconds"] >= 0
-            assert cell["requests"] > 0
-            assert len(cell["digest"]) == 64
-        assert report["serial_seconds"] > 0
-        assert report["parallel_seconds"] > 0
-
-    def test_write_benchmark_emits_json(self, tmp_path):
-        path = tmp_path / "BENCH_matrix.json"
-        write_benchmark(
-            str(path),
-            workloads=("web",),
-            systems=("baseline",),
-            scale=SCALE,
-            jobs=2,
-        )
-        report = json.loads(path.read_text())
-        assert report["schema"] == "repro.perf.bench_matrix/v1"
-        assert report["identical_results"] is True
 
 
 class TestResolveJobs:

@@ -15,7 +15,6 @@ from repro.api import (
     SCHEMA,
     SCHEMA_VERSION,
     LatencySummary,
-    ResultRecord,
     SchemaError,
     aggregate_record,
     parse_record,
@@ -100,6 +99,12 @@ class TestParseRecordRejects:
         with pytest.raises(SchemaError, match="unknown record kind"):
             parse_record(wire)
 
+    def test_removed_bench_cell_kind(self, run_result):
+        wire = record_from_run(run_result).to_dict()
+        wire["kind"] = "bench.cell"
+        with pytest.raises(SchemaError, match="unknown record kind"):
+            parse_record(wire)
+
     def test_missing_latency(self, run_result):
         wire = record_from_run(run_result).to_dict()
         del wire["latency"]
@@ -180,7 +185,7 @@ class TestSchemaConstants:
         assert SCHEMA == "repro.api/v1"
         assert SCHEMA_VERSION == 1
         assert set(KINDS) == {
-            "run", "bench.cell", "fleet.shard", "fleet",
+            "run", "fleet.shard", "fleet",
             "serve.metrics", "serve.session",
             "kv.run", "kv.ablation",
         }
@@ -189,18 +194,3 @@ class TestSchemaConstants:
         record = record_from_run(run_result)
         with pytest.raises(AttributeError):
             record.kind = "fleet"
-
-    def test_bench_cell_carries_record(self):
-        # The bench harness mints bench.cell records; validate the kind
-        # here without paying for a timed benchmark run.
-        assert "bench.cell" in KINDS
-        assert ResultRecord(
-            kind="bench.cell",
-            system="s",
-            workload="w",
-            counters={},
-            reads=LatencySummary(0, 0.0, 0.0, 0.0, 0.0),
-            writes=LatencySummary(0, 0.0, 0.0, 0.0, 0.0),
-            requests=LatencySummary(0, 0.0, 0.0, 0.0, 0.0),
-            horizon_us=0.0,
-        ).kind == "bench.cell"

@@ -33,6 +33,40 @@ class TestParser:
         assert set(FIGURES) == expected
 
 
+RUN = ["run", "--workload", "mail", "--system", "baseline"]
+FLEET = ["fleet", "--workload", "mail", "--system", "mq-dvp"]
+REPLICATE = ["replicate", "--workload", "mail", "--system", "mq-dvp"]
+
+
+@pytest.mark.parametrize("argv", [
+    RUN + ["--scale", "-1"],
+    RUN + ["--scale", "0"],
+    RUN + ["--scale", "nan"],
+    RUN + ["--scale", "inf"],
+    FLEET + ["--scale", "0"],
+    FLEET + ["--jobs", "-3"],
+    ["matrix", "--jobs", "-1"],
+    RUN + ["--check", "--check-interval", "0"],
+    REPLICATE + ["--seeds", "a,b"],
+    ["kv", "--scale", "-1"],
+    RUN + ["--pool", "-5"],
+    ["matrix", "--queue-depth", "0"],
+    RUN + ["--trim-every", "-1"],
+    ["faults", "--workload", "mail", "--system", "baseline", "--recovery",
+     "--window", "0"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_numeric_flag_is_one_usage_error(argv, capsys):
+    """A bad numeric value fails at parse time: exit 2 and one
+    ``repro <cmd>: error: argument`` line, never a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [error] = [line for line in err.splitlines() if ": error: " in line]
+    assert error.startswith(f"repro {argv[0]}: error: argument ")
+
+
 class TestRunCommand:
     def test_run_prints_summary(self, capsys):
         code = main([
